@@ -344,44 +344,6 @@ def lambda_linear_solve(
     return (l1, l2, l3)
 
 
-def lambda_linear_solve_n1(
-    Z1: float, kappa: float, nu: float
-) -> tuple[float, float]:
-    """(Lambda_2, Lambda_3) for n = 1, where Lambda_1 drops out (d_1 = 0).
-
-    The first two moment equations form a 2x2 system; the third is then a
-    consistency identity on Bethe roots.
-    """
-    if abs(kappa + nu) < 1e-14:
-        raise SingularSystem("kappa = -nu")
-    # Lambda_2 + Lambda_3 = 1;  2 nu (-nu Lambda_2 + kappa Lambda_3) = 2 + 2 nu Z1
-    rhs = (2 + 2 * nu * Z1) / (2 * nu)
-    l3 = (rhs + nu) / (kappa + nu)
-    l2 = 1.0 - l3
-    return l2, l3
-
-
-def lambda_linear_matrix(
-    n: int, kappa: float, nu: float
-) -> tuple[np.ndarray, Callable[[float, float], np.ndarray]]:
-    """The 3x3 linear system behind `lambda_linear_solve`, for cross-checks.
-
-    Returns (M, rhs(Z1, Z2)) such that M @ Lambda = rhs.
-    """
-    d = np.array([n - 1, n, 1], dtype=float)
-    e = np.array([nu, -nu, kappa])
-    m = np.vstack([d, 2 * nu * d * e, 2 * nu * d * e ** 2])
-
-    def rhs(Z1: float, Z2: float) -> np.ndarray:
-        return np.array([
-            n,
-            n * (n + 1) + 2 * nu * Z1,
-            2 * Z1 + n * (kappa - nu) + 2 * nu * Z2,
-        ])
-
-    return m, rhs
-
-
 def hierarchy_terms(
     j: int,
     l: int,

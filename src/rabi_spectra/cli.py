@@ -158,7 +158,7 @@ def run_crossing_count(cfg: ScanConfig) -> tuple[list[str], list[list]]:
     header = ["omega0", "n", "N_cr", "N_avoided"]
     rows = []
     for w0 in _grid(cfg):
-        p = ModelParams(cfg.omega, float(w0), max(cfg.g1, 1.0), cfg.g2)
+        p = ModelParams(cfg.omega, float(w0), cfg.g1, cfg.g2)
         for n in range(cfg.n + 1):
             n_cr, n_av = weakpert.count_events(n, p)
             rows.append([float(w0), n, n_cr, n_av])

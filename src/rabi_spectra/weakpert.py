@@ -190,7 +190,7 @@ def gap(case_label: str, n: int, p: ModelParams) -> float:
 
     Case 0: 2 g2 sin(a1/2); 1a: 2 g2 sqrt(n+2) sin(a_n/2) sin(a_{n+2}/2);
     1b: the cosine variant; 2a/2b are the same with n -> n-2. Higher-p gaps
-    are O(g2^p) with no closed form here; see `gap_order`.
+    are O(g2^p) with no closed form here.
     """
     g2 = p.g2
     if case_label == "0":
@@ -205,11 +205,6 @@ def gap(case_label: str, n: int, p: ModelParams) -> float:
         return (2 * g2 * math.sqrt(n + 2)
                 * math.cos(mixing_angle(n, p) / 2) * math.sin(mixing_angle(n + 2, p) / 2))
     raise InvalidCase(f"no closed-form gap for case {case_label!r} (order O(g2^p) only)")
-
-
-def gap_order(p: int) -> int:
-    """Power of g2 controlling the gap of a p-th order avoided crossing."""
-    return p
 
 
 def avoided_energies(n: int, k: int, p: ModelParams) -> tuple[float, float]:

