@@ -414,16 +414,38 @@ def _hierarchy_closure(
     For degeneracy d_j the chain E_j^(0..d_j-2) determines
     Lambda_j^(1..d_j-1); E_j^(d_j-1) has a vanishing leading coefficient and
     its value is the scalar exceptional condition.
+
+    Order l sums the terms of `hierarchy_terms` with Lambda_j^(l+1) = 0,
+    written inline with the same expressions; the term of that unknown is an
+    exact zero, which math.fsum ignores, so each order's residual is
+    bit-identical to `hierarchy_residual`.
     """
     d_j = degeneracies[j]
-    derivs: list[float] = []
+    lam_j = lam[j]
+    two_nu = 2 * nu
+    # (d_i, Lambda_i - Lambda_j, e_i - e_j, [(e_i - e_j)^m]) per other level
+    others = [(d_i, lam[i] - lam_j, e_i - levels[j], [1.0])
+              for i, (e_i, d_i) in enumerate(zip(levels, degeneracies)) if i != j]
+    tn, fact = [1.0], [1]  # (2nu)^m and m!, extended with l
+    lj = [lam_j]  # Lambda_j^(0..l)
+    binom = [1]  # C(l, 0..l)
     for l in range(d_j):
-        coeff = 1.0 - d_j / (l + 1)
-        rest = hierarchy_residual(j, l, lam, derivs, 0.0, levels, degeneracies, nu)
-        if l < d_j - 1:
-            derivs.append(-rest / coeff)
-        else:
+        tn.append(two_nu ** (l + 1))
+        terms = [-lj[l]]
+        terms += [binom[k] * lj[k] * lj[l - k] for k in range(l + 1)]
+        fact_l = fact[l]
+        for d_i, dlam, de, dep in others:
+            dep.append(de ** (l + 1))
+            terms.append(-fact_l * d_i * dlam / (tn[l + 1] * dep[l + 1]))
+            fd = fact_l * d_i
+            for m in range(1, l + 1):
+                terms.append(fd * lj[l - m + 1] / (tn[m] * fact[l - m + 1] * dep[m]))
+        rest = math.fsum(terms)
+        if l == d_j - 1:
             return rest
+        lj.append(-rest / (1.0 - d_j / (l + 1)))
+        fact.append(fact_l * (l + 1))
+        binom = [1] + [binom[k - 1] + binom[k] for k in range(1, l + 1)] + [1]
     raise AssertionError("unreachable: d_j >= 1 always terminates the chain")
 
 
@@ -505,7 +527,7 @@ def exceptional_condition(n: int, kappa: float, nu: float, delta: float) -> floa
 def power_sums_from_lambda(
     n: int,
     Z1: float,
-    Z2: float,
+    Z2: float | None,
     lam: Sequence[float],
     levels: Sequence[float],
     degeneracies: Sequence[float],
@@ -515,9 +537,10 @@ def power_sums_from_lambda(
 
     Z_{k} follows from summing z_i^k times the Richardson equations, which
     telescope into a recursion in the lower power sums; this seeds the
-    polynomial whose roots initialize Newton refinement.
+    polynomial whose roots initialize Newton refinement. With Z2 = None the
+    recursion also supplies Z2 (the Rabi line fixes only Z1).
     """
-    zs = [float(n), Z1, Z2][: n + 1]
+    zs = ([float(n), Z1] if Z2 is None else [float(n), Z1, Z2])[: n + 1]
     d = np.asarray(degeneracies, dtype=float)
     e = np.asarray(levels, dtype=float)
     lm = np.asarray(lam, dtype=float)
@@ -921,8 +944,8 @@ def branch_Z(
 
     Solves the closed Lambda system in the (Z1, Z2) plane by multistart
     Newton (seeds from the nu -> 0 scale-partition asymptotics plus a random
-    cloud), then recovers and polishes the rapidities of each candidate;
-    only root sets that solve the Bethe equations survive.
+    cloud), then recovers and polishes the rapidities of each distinct
+    converged (Z1, Z2); only root sets that solve the Bethe equations survive.
     """
     if n < 1:
         raise ValueError("branch_Z needs n >= 1")
@@ -942,11 +965,18 @@ def branch_Z(
         return closed_system_terminals(n, kappa, nu, z1, z2)
 
     found: dict[tuple, BetheSolution] = {}
+    # Many starts converge to the same (Z1, Z2); its rapidities are recovered
+    # once, whatever the outcome (a pole-collapsed point fails every time).
+    tried: set[tuple[float, float]] = set()
     for z1_0, z2_0 in _z_start_candidates(n, kappa, nu, extra_starts, seed):
         sol2d = _newton_2d(terminals, z1_0, z2_0)
         if sol2d is None:
             continue
         Z1, Z2 = sol2d
+        z_key = (round(Z1, 6), round(Z2, 6))
+        if z_key in tried:
+            continue
+        tried.add(z_key)
         lam = lambda_linear_solve(Z1, Z2, n, kappa, nu)
         try:
             zs = power_sums_from_lambda(n, Z1, Z2, lam, levels, strengths, nu)
@@ -996,29 +1026,24 @@ def rabi_condition(n: int, nu: float, delta: float) -> float:
     """
     if n == 0:
         return 1.0 - delta * delta - 4 * nu * nu
+    _, lam = _rabi_line_lambda(n, nu, delta)
+    return _hierarchy_closure(0, lam, (nu, -nu), (n, n + 1), nu)
+
+
+def _rabi_line_lambda(n: int, nu: float, delta: float) -> tuple[float, tuple[float, float]]:
+    """Z1 and (Lambda_1, Lambda_2) fixed by the Rabi-line condition, n >= 1."""
     Z1 = (1.0 - delta * delta - 2 * nu * nu * (n + 2)) / (2 * nu)
     l1 = (2 * nu * Z1 + n * (n + 2 + 2 * nu * nu)) / (4 * nu ** 2 * n)
     l2 = -(2 * nu * Z1 + n * (n + 2 - 2 * nu * nu)) / (4 * nu ** 2 * (n + 1))
-    return _hierarchy_closure(0, (l1, l2), (nu, -nu), (n, n + 1), nu)
+    return Z1, (l1, l2)
 
 
 def _recover_rabi_solution(n: int, nu: float, delta: float) -> BetheSolution | None:
     if n == 0:
         return BetheSolution(0, np.zeros(0, dtype=complex), 0.0, 0.0, 0.0, "rabi-n0")
-    Z1 = (1.0 - delta * delta - 2 * nu * nu * (n + 2)) / (2 * nu)
-    l1 = (2 * nu * Z1 + n * (n + 2 + 2 * nu * nu)) / (4 * nu ** 2 * n)
-    l2 = -(2 * nu * Z1 + n * (n + 2 - 2 * nu * nu)) / (4 * nu ** 2 * (n + 1))
+    Z1, lam = _rabi_line_lambda(n, nu, delta)
     levels, strengths = (nu, -nu), (float(n), float(n + 1))
-    # Z2 from the k=2 moment relation of the two-level Richardson system.
-    zs = [float(n), Z1]
-    d = np.array(strengths)
-    e = np.array(levels)
-    lm = np.array([l1, l2])
-    for k in range(2, n + 1):
-        conv = sum(zs[a] * zs[k - 1 - a] for a in range(k))
-        pole = sum(d[s] * sum(zs[a] * e[s] ** (k - 1 - a) for a in range(k))
-                   for s in range(2))
-        zs.append(float(np.dot(d * lm, e ** k)) + (conv - k * zs[k - 1] - pole) / (2 * nu))
+    zs = power_sums_from_lambda(n, Z1, None, lam, levels, strengths, nu)
     start = roots_from_power_sums(zs)
     z = _newton_bae(start, levels, strengths, nu)
     if z is None:

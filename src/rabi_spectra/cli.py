@@ -141,7 +141,7 @@ def run_exceptional(cfg: ScanConfig) -> tuple[list[str], list[list], bool]:
             pts = bethe.find_exceptional(cfg.n, fixed, cfg.free,
                                          (cfg.free_start, cfg.free_stop),
                                          n_max=cfg.n_max)
-        except Exception as exc:
+        except (ValueError, ArithmeticError, RuntimeError) as exc:
             raise ComputeError(f"exceptional search failed at {cfg.axis}={v}: {exc}") from exc
         for pt in pts:
             all_ok = all_ok and pt.verified
@@ -301,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="grid start:stop:count on this axis")
     ap.add_argument("--g-range", dest="g_range",
                     help="rabi-markers: coupling grid start:stop:count")
-    ap.add_argument("--n", "--n-max-level", dest="n", type=int, default=0,
+    ap.add_argument("--n", type=int, default=0,
                     help="exceptional level index, or max level for counts/markers")
     ap.add_argument("--free", choices=("omega", "omega0", "g1", "g2"), default="g1",
                     help="exceptional mode: parameter solved for")

@@ -2,11 +2,11 @@
 
 import math
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from rabi_spectra.bethe import SingularSystem
+from rabi_spectra.bethe import SingularSystem, hierarchy_residual
 
 
 def laguerre_direct_sum(n: int, alpha: int, x: float) -> float:
@@ -63,3 +63,28 @@ def lambda_linear_matrix(
 def gap_order(p: int) -> int:
     """Power of g2 controlling the gap of a p-th order avoided crossing."""
     return p
+
+
+def hierarchy_closure_chain(
+    j: int,
+    lam: Sequence[float],
+    levels: Sequence[float],
+    degeneracies: Sequence[int],
+    nu: float,
+) -> float:
+    """Terminal residual of the Lambda_j derivative chain, order by order.
+
+    The reference for `bethe._hierarchy_closure`: E_j^(l) = 0 is solved for
+    Lambda_j^(l+1) through `hierarchy_residual` with that unknown set to 0,
+    and E_j^(d_j-1) is returned.
+    """
+    d_j = degeneracies[j]
+    derivs: list[float] = []
+    for l in range(d_j):
+        coeff = 1.0 - d_j / (l + 1)
+        rest = hierarchy_residual(j, l, lam, derivs, 0.0, levels, degeneracies, nu)
+        if l < d_j - 1:
+            derivs.append(-rest / coeff)
+        else:
+            return rest
+    raise AssertionError("unreachable: d_j >= 1 always terminates the chain")

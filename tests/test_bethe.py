@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import lambda_linear_matrix, lambda_linear_solve_n1
+from oracles import hierarchy_closure_chain, lambda_linear_matrix, lambda_linear_solve_n1
 from rabi_spectra import bethe, fock
 from rabi_spectra.core import ModelParams, ReducedParams, invert, reduce
 
@@ -188,6 +188,37 @@ class TestLambdaMachinery:
             assert abs(ra) < 1e-12 and abs(rb) < 1e-12
 
 
+class TestHierarchyClosure:
+    def test_equals_residual_chain_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        for d_j in range(1, 14):
+            for _ in range(15):
+                nu = float(rng.uniform(0.05, 1.5))
+                levels = tuple(float(x) for x in rng.uniform(-1.5, 1.5, 3))
+                lam = tuple(float(x) for x in rng.normal(0.0, 5.0, 3))
+                for j in range(3):
+                    deg = [int(x) for x in rng.integers(1, 14, 3)]
+                    deg[j] = d_j
+                    want = hierarchy_closure_chain(j, lam, levels, tuple(deg), nu)
+                    assert bethe._hierarchy_closure(j, lam, levels, tuple(deg), nu) == want
+
+    def test_two_level_and_exceptional_condition_match_chain(self):
+        rng = np.random.default_rng(32)
+        for n in range(1, 14):
+            for _ in range(10):
+                kappa, nu, delta = (float(x) for x in rng.uniform(0.05, 1.5, 3))
+                levels = (nu, -nu)
+                lam = tuple(float(x) for x in rng.normal(0.0, 5.0, 2))
+                for j in range(2):
+                    want = hierarchy_closure_chain(j, lam, levels, (n, n + 1), nu)
+                    assert bethe._hierarchy_closure(j, lam, levels, (n, n + 1), nu) == want
+                if n >= 2 and abs(kappa - nu) > 1e-3:
+                    z1, z2 = bethe.z1z2_from_conditions(n, kappa, nu, delta)
+                    lam3 = bethe.lambda_linear_solve(z1, z2, n, kappa, nu)
+                    want = hierarchy_closure_chain(0, lam3, (nu, -nu, kappa), (n - 1, n, 1), nu)
+                    assert bethe.exceptional_condition(n, kappa, nu, delta) == want
+
+
 class TestPowerSums:
     def test_round_trip_conjugate_closed(self):
         rng = np.random.default_rng(24)
@@ -295,6 +326,30 @@ class TestBranches:
         z1s = sorted(s.Z1 for s in sols)
         close_pairs = sum(1 for a, b in zip(z1s, z1s[1:]) if abs(a - b) < 0.1)
         assert close_pairs >= 2
+
+    def test_one_rapidity_recovery_per_distinct_z(self, monkeypatch):
+        newton_2d, newton_bae = bethe._newton_2d, bethe._newton_bae
+        converged: list[tuple[float, float]] = []
+        bae_calls: list[int] = []
+
+        def counting_2d(*args, **kwargs):
+            out = newton_2d(*args, **kwargs)
+            if out is not None:
+                converged.append((round(out[0], 6), round(out[1], 6)))
+            return out
+
+        def counting_bae(*args, **kwargs):
+            bae_calls.append(1)
+            return newton_bae(*args, **kwargs)
+
+        monkeypatch.setattr(bethe, "_newton_2d", counting_2d)
+        monkeypatch.setattr(bethe, "_newton_bae", counting_bae)
+        sols = bethe.branch_Z(3, 0.4, 0.35, extra_starts=120)
+        assert len(converged) > len(set(converged))
+        assert len(bae_calls) == len(set(converged)) == 7
+        assert sols
+        for s in sols:
+            assert s.residual_max < 1e-10
 
     def test_branch_count_at_most_2n(self):
         for (n, kappa, nu) in [(2, 0.5, 0.45), (3, 0.4, 0.35), (4, 0.25, 0.4)]:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from rabi_spectra import cli, fock
+from rabi_spectra import bethe, cli, fock
 from rabi_spectra.core import ModelParams, reduce
 
 
@@ -211,6 +211,36 @@ def test_exit_code_4_on_verification_failure(monkeypatch, capsys):
     assert code == 4
     assert "0\n" not in out.splitlines()[-1]  # row carries verified=0
     assert out.strip().splitlines()[-1].split(",")[4] == "0"
+
+
+EXCEPTIONAL_ARGV = ["--mode", "exceptional", "--n", "2", "--g2-range", "0.2:0.3:2"]
+
+
+def _raise_from_find_exceptional(monkeypatch, error):
+    def failing_find(*args, **kwargs):
+        raise error("boom")
+
+    monkeypatch.setattr(bethe, "find_exceptional", failing_find)
+
+
+@pytest.mark.parametrize("error", [ValueError, bethe.SingularSystem, ZeroDivisionError,
+                                   bethe.NotVerified])
+def test_exceptional_library_error_exits_3(monkeypatch, capsys, error):
+    _raise_from_find_exceptional(monkeypatch, error)
+    assert cli.main(EXCEPTIONAL_ARGV) == 3
+    assert "compute error: exceptional search failed" in capsys.readouterr().err
+
+
+def test_exceptional_programming_error_propagates(monkeypatch):
+    _raise_from_find_exceptional(monkeypatch, TypeError)
+    with pytest.raises(TypeError):
+        cli.main(EXCEPTIONAL_ARGV)
+
+
+def test_n_max_level_alias_removed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--mode", "exceptional", "--n-max-level", "2", "--g2-range", "0.2:0.3:2"])
+    assert exc.value.code == 2
 
 
 def test_rabi_markers_mode(capsys):
