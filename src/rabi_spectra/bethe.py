@@ -131,20 +131,21 @@ def ode_coefficients(r: ReducedParams, epsilon: float) -> OdeCoefficients:
 # Bethe ansatz equations and their Newton solver
 # ---------------------------------------------------------------------------
 
-def _bae_residual_generic(
+def _bae_residual(
     roots: np.ndarray, levels: Sequence[float], strengths: Sequence[float], nu: float
 ) -> np.ndarray:
     """Richardson-form residuals sum 2/(z_j-z_i) + sum_s w_s/(z_i-e_s) + 2nu."""
     z = np.asarray(roots, dtype=complex)
-    n = len(z)
-    res = np.full(n, 2 * nu, dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            if j != i:
-                res[i] += 2.0 / (z[j] - z[i])
-        for e_s, w_s in zip(levels, strengths):
-            res[i] += w_s / (z[i] - e_s)
-    return res
+    lv = np.asarray(levels, dtype=float)
+    wt = np.asarray(strengths, dtype=float)
+    with np.errstate(all="ignore"):
+        dz = z[None, :] - z[:, None]  # z_j - z_i at [i, j]
+        np.fill_diagonal(dz, 1.0)
+        inv = 2.0 / dz
+        np.fill_diagonal(inv, 0.0)
+        pair = np.sum(inv, axis=1)
+        pole = np.sum(wt[None, :] / (z[:, None] - lv[None, :]), axis=1)
+    return pair + pole + 2 * nu
 
 
 def _check_poles(roots: np.ndarray, levels: Sequence[float]) -> None:
@@ -173,7 +174,7 @@ def residual_bae(
         return np.zeros(0)
     levels = (r.nu, -r.nu, r.kappa)
     _check_poles(z, levels)
-    return _bae_residual_generic(z, levels, (epsilon - 1.0, epsilon, 1.0), r.nu)
+    return _bae_residual(z, levels, (epsilon - 1.0, epsilon, 1.0), r.nu)
 
 
 def residual_bae_rabi(roots: Sequence[complex], nu: float, epsilon: float) -> np.ndarray:
@@ -183,7 +184,7 @@ def residual_bae_rabi(roots: Sequence[complex], nu: float, epsilon: float) -> np
         return np.zeros(0)
     levels = (nu, -nu)
     _check_poles(z, levels)
-    return _bae_residual_generic(z, levels, (epsilon - 1.0, epsilon), nu)
+    return _bae_residual(z, levels, (epsilon - 1.0, epsilon), nu)
 
 
 def _newton_bae(
@@ -191,13 +192,12 @@ def _newton_bae(
     levels: Sequence[float],
     strengths: Sequence[float],
     nu: float,
-    tol: float = BETHE_TOL,
-    max_iter: int = 80,
 ) -> np.ndarray | None:
     """Damped Newton in (Re z, Im z) coordinates with the analytic Jacobian.
 
     The residual map is holomorphic per root, so the real 2n x 2n Jacobian is
-    assembled from the complex one. Returns None on non-convergence.
+    assembled from the complex one. At most 80 steps to a residual below
+    BETHE_TOL; returns None on non-convergence.
     """
     z = np.asarray(start, dtype=complex).copy()
     n = len(z)
@@ -205,16 +205,6 @@ def _newton_bae(
         return z
     lv = np.asarray(levels, dtype=float)
     wt = np.asarray(strengths, dtype=float)
-
-    def resid(zz: np.ndarray) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            dz = zz[None, :] - zz[:, None]  # z_j - z_i at [i, j]
-            np.fill_diagonal(dz, 1.0)
-            inv = 2.0 / dz
-            np.fill_diagonal(inv, 0.0)
-            pair = np.sum(inv, axis=1)
-            pole = np.sum(wt[None, :] / (zz[:, None] - lv[None, :]), axis=1)
-        return pair + pole + 2 * nu
 
     def jac(zz: np.ndarray) -> np.ndarray:
         with np.errstate(all="ignore"):
@@ -228,11 +218,11 @@ def _newton_bae(
             np.fill_diagonal(j, diag)
         return j
 
-    f = resid(z)
+    f = _bae_residual(z, lv, wt, nu)
     fn = np.max(np.abs(f))
     polish = 0
-    for _ in range(max_iter):
-        if fn < tol:
+    for _ in range(80):
+        if fn < BETHE_TOL:
             # a few extra steps drive the residual to roundoff
             polish += 1
             if polish > 3 or fn == 0.0:
@@ -252,16 +242,16 @@ def _newton_bae(
             if np.min(np.abs(z_new[:, None] - lv[None, :])) < POLE_TOL:
                 lam *= 0.5
                 continue
-            f_new = resid(z_new)
+            f_new = _bae_residual(z_new, lv, wt, nu)
             fn_new = np.max(np.abs(f_new))
-            if fn_new < fn or fn_new < tol:
+            if fn_new < fn or fn_new < BETHE_TOL:
                 z, f, fn = z_new, f_new, fn_new
                 improved = True
                 break
             lam *= 0.5
         if not improved:
             break
-    if fn >= tol:
+    if fn >= BETHE_TOL:
         return None
     # Snap conjugate-pair dust onto the real axis.
     scale = max(1.0, np.max(np.abs(z)))
@@ -269,13 +259,13 @@ def _newton_bae(
     return z
 
 
-def _is_conjugate_closed(z: np.ndarray, rtol: float = 1e-7) -> bool:
-    scale = max(1.0, np.max(np.abs(z))) if len(z) else 1.0
+def _is_conjugate_closed(z: np.ndarray) -> bool:
+    tol = 1e-7 * (max(1.0, np.max(np.abs(z))) if len(z) else 1.0)
     pool = list(z)
     for zi in z:
-        if abs(zi.imag) < rtol * scale:
+        if abs(zi.imag) < tol:
             continue
-        if not any(abs(np.conj(zi) - zj) < rtol * scale for zj in pool):
+        if not any(abs(np.conj(zi) - zj) < tol for zj in pool):
             return False
     return True
 
@@ -568,6 +558,20 @@ def roots_from_power_sums(power_sums: Sequence[float]) -> np.ndarray:
     return np.roots(coeffs)
 
 
+def _polished_roots(
+    n: int, Z1: float, Z2: float | None, lam: Sequence[float],
+    levels: Sequence[float], strengths: Sequence[float], nu: float,
+) -> np.ndarray | None:
+    """Rapidities from the Lambda data: power sums, their polynomial's roots,
+    then Newton on the Bethe equations. None if any step fails."""
+    try:
+        start = roots_from_power_sums(
+            power_sums_from_lambda(n, Z1, Z2, lam, levels, strengths, nu))
+    except (ValueError, OverflowError):
+        return None
+    return _newton_bae(start, levels, strengths, nu)
+
+
 # ---------------------------------------------------------------------------
 # Locating exceptional points along one-parameter scans
 # ---------------------------------------------------------------------------
@@ -603,9 +607,7 @@ def _recover_solution(
                                      float(res), branch_id=f"z1{'+' if b == 0 else '-'}")
         return None
     lam = lambda_linear_solve(z1c, z2c, n, kappa, nu)
-    zs = power_sums_from_lambda(n, z1c, z2c, lam, levels, strengths, nu)
-    start = roots_from_power_sums(zs)
-    z = _newton_bae(start, levels, strengths, nu)
+    z = _polished_roots(n, z1c, z2c, lam, levels, strengths, nu)
     if z is None:
         return None
     try:
@@ -641,8 +643,8 @@ def _bethe_side_solution(
 
     A zero of the single-chain condition F is only necessary; the recovered
     roots must solve the Bethe equations and reproduce both integer-energy
-    conditions. Candidates failing here are bracketing artifacts, not
-    exceptional points.
+    conditions. Candidates failing here are mostly bracketing artifacts, but
+    a real point whose rapidities Newton cannot recover fails here too.
     """
     sol = _recover_solution(n, r, branch_hint)
     if sol is None or sol.residual_max > BETHE_TOL * 10:
@@ -658,16 +660,43 @@ def _verify_point(
     n: int,
     p: ModelParams,
     r: ReducedParams,
-    sol: BetheSolution,
+    sol: BetheSolution | None,
     n_max: int,
+    recovered: bool = True,
 ) -> ExceptionalPoint:
+    """Fock check of a candidate at eps = n: the adjacent pair closest to n
+    must be degenerate within GAP_TOL at an integer within INT_TOL. A
+    candidate whose rapidities were not recovered stays unverified."""
     gap, eps_at = _fock_gap_at(p, n, n_max)
-    ok = gap < fock.GAP_TOL * p.omega and abs(eps_at - n) < fock.INT_TOL
-    msg = "" if ok else f"fock gap {gap:.2e} at eps {eps_at:.6f}"
+    msgs = [] if recovered else ["rapidity recovery failed"]
+    if not (gap < fock.GAP_TOL * p.omega and abs(eps_at - n) < fock.INT_TOL):
+        msgs.append(f"fock gap {gap:.2e} at eps {eps_at:.6f}")
     return ExceptionalPoint(
         n=n, params=p, reduced=r, solution=sol, verified_gap=gap,
-        epsilon_at_crossing=eps_at, verified=ok, message=msg,
+        epsilon_at_crossing=eps_at, verified=not msgs, message="; ".join(msgs),
     )
+
+
+def _grid_roots(f: Callable[[float], float], ts: np.ndarray) -> list[float]:
+    """Zeros of f, ascending: brentq to PARAM_TOL on each grid cell whose
+    ends are finite with a sign change. A zero exactly on a grid point ends
+    two cells, and brentq returns that point for both; it is reported once.
+    """
+    vals = np.array([f(t) for t in ts])
+    roots: list[float] = []
+    for i in range(len(ts) - 1):
+        a, b = vals[i], vals[i + 1]
+        if not (np.isfinite(a) and np.isfinite(b)) or a * b > 0:
+            continue
+        if a == 0.0 and b == 0.0:
+            continue
+        try:
+            t_root = brentq(f, ts[i], ts[i + 1], xtol=PARAM_TOL, rtol=8.9e-16)
+        except ValueError:
+            continue
+        if not roots or t_root != roots[-1]:
+            roots.append(t_root)
+    return roots
 
 
 def find_exceptional(
@@ -677,15 +706,18 @@ def find_exceptional(
     free_range: tuple[float, float],
     grid: int = 400,
     n_max: int = fock.DEFAULT_N_MAX,
-    verify: bool = True,
 ) -> list[ExceptionalPoint]:
     """Scan one model parameter for zeros of the exceptional condition.
 
     `fixed` holds three of {omega, omega0, g1, g2}; `free` names the fourth,
     scanned over free_range on a uniform grid with sign-change bracketing and
-    bisection to PARAM_TOL. Each root is verified: rapidities recovered and
-    residual-checked, conditions re-evaluated, and the fock gap at eps = n
-    confirmed. Unverified roots are returned flagged, never dropped.
+    bisection to PARAM_TOL. Each root is then checked on the Bethe side: its
+    rapidities are recovered and residual-checked, and both integer-energy
+    conditions are re-evaluated. A root that fails this check is dropped as
+    a bracketing artifact; so is a real point whose rapidities cannot be
+    recovered (near the kappa = nu pole, e.g. n = 8 at g1 ~ 1.223668 for
+    (omega, omega0, g2) = (1, 0.7, 0.1)). Every root that passes is returned,
+    with verified=False if the Fock gap at eps = n does not confirm it.
     """
     if free not in _FREE_PARAMS or set(fixed) != set(_FREE_PARAMS) - {free}:
         raise ValueError(f"free must be one of {_FREE_PARAMS} with the rest fixed")
@@ -719,32 +751,16 @@ def find_exceptional(
             return math.nan
 
     for branch in branches:
-        vals = np.array([f_of(t, branch) for t in ts])
-        for i in range(len(ts) - 1):
-            a, b = vals[i], vals[i + 1]
-            if not (np.isfinite(a) and np.isfinite(b)) or a * b > 0:
-                continue
-            if a == 0.0 and b == 0.0:
-                continue
-            try:
-                t_root = brentq(lambda t: f_of(t, branch), ts[i], ts[i + 1],
-                                xtol=PARAM_TOL, rtol=8.9e-16)
-            except ValueError:
-                continue
+        for t_root in _grid_roots(lambda t: f_of(t, branch), ts):
             p = _params_with(fixed, free, float(t_root))
             r = reduce(p)
             sol = _bethe_side_solution(n, r, branch)
             if sol is None:
                 continue
-            if verify:
-                pt = _verify_point(n, p, r, sol, n_max)
-            else:
-                pt = ExceptionalPoint(n, p, r, sol, math.nan, math.nan,
-                                      True, "fock check skipped")
             # The same root can be bracketed by both n=1 branches; dedupe.
             if not any(abs(getattr(q.params, free) - t_root) < 1e-7 * max(1.0, abs(t_root))
                        for q in points):
-                points.append(pt)
+                points.append(_verify_point(n, p, r, sol, n_max))
     points.sort(key=lambda q: getattr(q.params, free))
     return points
 
@@ -840,9 +856,8 @@ def _partition_starts(n: int, kappa: float, nu: float) -> list[tuple[str, np.nda
     return starts
 
 
-def _dedupe_key(z: np.ndarray, digits: int = 6) -> tuple:
-    zs = sorted(z, key=lambda c: (round(c.real, digits), round(abs(c.imag), digits)))
-    return tuple((round(c.real, digits), round(abs(c.imag), digits)) for c in zs)
+def _dedupe_key(z: np.ndarray) -> tuple:
+    return tuple(sorted((round(c.real, 6), round(abs(c.imag), 6)) for c in z))
 
 
 def closed_system_terminals(
@@ -866,17 +881,18 @@ def _newton_2d(
     func: Callable[[float, float], tuple[float, float]],
     x0: float,
     y0: float,
-    tol: float = 1e-12,
-    max_iter: int = 60,
 ) -> tuple[float, float] | None:
-    """Damped Newton with forward-difference Jacobian for 2x2 systems."""
+    """Damped Newton with forward-difference Jacobian for 2x2 systems.
+
+    At most 60 steps; converged when a step falls below 1e-12 relative.
+    """
     x, y = float(x0), float(y0)
     try:
         fx, fy = func(x, y)
     except (ValueError, ZeroDivisionError, OverflowError):
         return None
     fn = math.hypot(fx, fy)
-    for _ in range(max_iter):
+    for _ in range(60):
         if not math.isfinite(fn):
             return None
         hx = 1e-7 * max(1.0, abs(x))
@@ -910,7 +926,7 @@ def _newton_2d(
         if not improved:
             break
         # Converged when the step stalls at roundoff scale.
-        if abs(dx) < tol * max(1.0, abs(x)) and abs(dy) < tol * max(1.0, abs(y)):
+        if abs(dx) < 1e-12 * max(1.0, abs(x)) and abs(dy) < 1e-12 * max(1.0, abs(y)):
             return x, y
     return (x, y) if fn < 1e-6 else None
 
@@ -953,8 +969,7 @@ def branch_Z(
         sols = []
         for b, z1 in enumerate(closed_form_roots_n1(kappa, nu)):
             z = np.array([z1], dtype=complex)
-            res = np.max(np.abs(_bae_residual_generic(z, (nu, -nu, kappa),
-                                                      (0.0, 1.0, 1.0), nu)))
+            res = np.max(np.abs(_bae_residual(z, (nu, -nu, kappa), (0.0, 1.0, 1.0), nu)))
             sols.append(BetheSolution(1, z, z1, z1 * z1, float(res),
                                       branch_id=f"z1{'+' if b == 0 else '-'}"))
         return sols
@@ -964,7 +979,7 @@ def branch_Z(
     def terminals(z1: float, z2: float) -> tuple[float, float]:
         return closed_system_terminals(n, kappa, nu, z1, z2)
 
-    found: dict[tuple, BetheSolution] = {}
+    found: dict[tuple, tuple[float, float, np.ndarray, float]] = {}
     # Many starts converge to the same (Z1, Z2); its rapidities are recovered
     # once, whatever the outcome (a pole-collapsed point fails every time).
     tried: set[tuple[float, float]] = set()
@@ -978,39 +993,26 @@ def branch_Z(
             continue
         tried.add(z_key)
         lam = lambda_linear_solve(Z1, Z2, n, kappa, nu)
+        z = _polished_roots(n, Z1, Z2, lam, levels, strengths, nu)
+        if z is None:
+            continue
         try:
-            zs = power_sums_from_lambda(n, Z1, Z2, lam, levels, strengths, nu)
-            start = roots_from_power_sums(zs)
-        except (ValueError, OverflowError):
-            continue
-        z = _newton_bae(start, levels, strengths, nu)
-        if z is None or len(z) != n:
-            continue
-        if np.min([np.min(np.abs(z - e)) for e in levels]) < POLE_TOL:
-            continue
-        if n > 1 and np.min(np.abs(z[:, None] - z[None, :])[~np.eye(n, dtype=bool)]) < POLE_TOL:
+            _check_poles(z, levels)
+        except PoleCollision:
             continue
         if not _is_conjugate_closed(z):
             continue
         key = _dedupe_key(z)
         if key in found:
             continue
-        res = np.max(np.abs(_bae_residual_generic(z, levels, strengths, nu)))
+        res = np.max(np.abs(_bae_residual(z, levels, strengths, nu)))
         if res > BETHE_TOL * 10:
             continue
-        Z1r, Z2r = np.sum(z), np.sum(z ** 2)
-        found[key] = BetheSolution(n, z, float(Z1r.real), float(Z2r.real),
-                                   float(res), branch_id=f"b{len(found)}")
-    solutions = sorted(found.values(), key=lambda s: (s.Z1, s.Z2))
-    # Label the all-diverging (ground) branch: most negative Z1.
-    if solutions:
-        relabeled = []
-        for i, s in enumerate(solutions):
-            bid = "ground" if i == 0 else f"b{i}"
-            relabeled.append(BetheSolution(s.n, s.roots, s.Z1, s.Z2,
-                                           s.residual_max, bid))
-        solutions = relabeled
-    return solutions
+        found[key] = (float(np.sum(z).real), float(np.sum(z ** 2).real), z, float(res))
+    # Sorted by (Z1, Z2): the all-diverging (ground) branch, most negative Z1, first.
+    ordered = sorted(found.values(), key=lambda t: t[:2])
+    return [BetheSolution(n, z, Z1, Z2, res, "ground" if i == 0 else f"b{i}")
+            for i, (Z1, Z2, z, res) in enumerate(ordered)]
 
 
 # ---------------------------------------------------------------------------
@@ -1042,10 +1044,7 @@ def _recover_rabi_solution(n: int, nu: float, delta: float) -> BetheSolution | N
     if n == 0:
         return BetheSolution(0, np.zeros(0, dtype=complex), 0.0, 0.0, 0.0, "rabi-n0")
     Z1, lam = _rabi_line_lambda(n, nu, delta)
-    levels, strengths = (nu, -nu), (float(n), float(n + 1))
-    zs = power_sums_from_lambda(n, Z1, None, lam, levels, strengths, nu)
-    start = roots_from_power_sums(zs)
-    z = _newton_bae(start, levels, strengths, nu)
+    z = _polished_roots(n, Z1, None, lam, (nu, -nu), (float(n), float(n + 1)), nu)
     if z is None:
         return None
     res = np.max(np.abs(residual_bae_rabi(z, nu, float(n + 1))))
@@ -1060,38 +1059,21 @@ def rabi_exceptional(
     g_range: tuple[float, float],
     grid: int = 400,
     n_max: int = fock.DEFAULT_N_MAX,
-    verify: bool = True,
 ) -> list[ExceptionalPoint]:
-    """Juddian points on the Rabi line g1 = g2 = g, at eps = n + 1."""
+    """Juddian points on the Rabi line g1 = g2 = g, at eps = n + 1.
+
+    Every zero of the Juddian condition is returned; one whose rapidities
+    are not recovered is flagged unverified, with the recovery attached.
+    """
     delta = omega0 / omega
     lo, hi = g_range
     gs = np.linspace(max(lo, 1e-6), hi, grid)
-
-    def f_of(g: float) -> float:
-        return rabi_condition(n, g / omega, delta)
-
     points: list[ExceptionalPoint] = []
-    vals = np.array([f_of(g) for g in gs])
-    for i in range(len(gs) - 1):
-        a, b = vals[i], vals[i + 1]
-        if not (np.isfinite(a) and np.isfinite(b)) or a * b > 0:
-            continue
-        g_root = brentq(f_of, gs[i], gs[i + 1], xtol=PARAM_TOL, rtol=8.9e-16)
+    for g_root in _grid_roots(lambda g: rabi_condition(n, g / omega, delta), gs):
         p = ModelParams(omega, omega0, g_root, g_root)
-        r = reduce(p)
         sol = _recover_rabi_solution(n, g_root / omega, delta)
         ok = sol is not None and sol.residual_max < BETHE_TOL * 10
-        msgs = [] if ok else ["rapidity recovery failed"]
-        gap, eps_at = (math.nan, math.nan)
-        if verify:
-            gap, eps_at = _fock_gap_at(p, n + 1, n_max)
-            if not (gap < fock.GAP_TOL * omega and abs(eps_at - (n + 1)) < fock.INT_TOL):
-                ok = False
-                msgs.append(f"fock gap {gap:.2e} at eps {eps_at!r}")
-        points.append(ExceptionalPoint(
-            n=n + 1, params=p, reduced=r, solution=sol, verified_gap=gap,
-            epsilon_at_crossing=eps_at, verified=ok, message="; ".join(msgs),
-        ))
+        points.append(_verify_point(n + 1, p, reduce(p), sol, n_max, recovered=ok))
     return points
 
 

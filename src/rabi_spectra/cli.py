@@ -19,6 +19,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -108,22 +109,29 @@ def _thread_count(cfg: ScanConfig) -> int:
     return os.cpu_count() or 1
 
 
-def _levels_at(cfg: ScanConfig, value: float) -> list[float]:
-    p = _params_at(cfg, value)
-    eps = fock._eps_levels(p, cfg.n_max, cfg.n_keep)
+def _grid_levels(cfg: ScanConfig) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The grid and its lowest n_keep shifted levels, one pool task per point."""
+    grid = _grid(cfg)
+    with ThreadPoolExecutor(max_workers=_thread_count(cfg)) as ex:
+        levels = list(ex.map(
+            lambda v: fock._eps_levels(_params_at(cfg, v), cfg.n_max, cfg.n_keep), grid))
+    return grid, levels
+
+
+def _on_scale(cfg: ScanConfig, p: ModelParams, eps) -> list[float]:
+    """Shifted energies as emitted: eps, or E = (eps - lambda+) omega with --raw-energy."""
     if cfg.raw_energy:
-        return [float(e - reduce(p).lambda_plus) * p.omega for e in eps]
+        lam_p = reduce(p).lambda_plus
+        return [float(e - lam_p) * p.omega for e in eps]
     return [float(e) for e in eps]
 
 
 def run_spectrum_scan(cfg: ScanConfig) -> tuple[list[str], list[list]]:
-    grid = _grid(cfg)
-    with ThreadPoolExecutor(max_workers=_thread_count(cfg)) as ex:
-        levels = list(ex.map(lambda v: _levels_at(cfg, v), grid))
-    header = [cfg.axis] + [f"eps_{i}" for i in range(cfg.n_keep)]
-    if cfg.raw_energy:
-        header = [cfg.axis] + [f"E_{i}" for i in range(cfg.n_keep)]
-    return header, [[float(v)] + lv for v, lv in zip(grid, levels)]
+    grid, levels = _grid_levels(cfg)
+    name = "E" if cfg.raw_energy else "eps"
+    header = [cfg.axis] + [f"{name}_{i}" for i in range(cfg.n_keep)]
+    return header, [[float(v)] + _on_scale(cfg, _params_at(cfg, v), eps)
+                    for v, eps in zip(grid, levels)]
 
 
 def run_exceptional(cfg: ScanConfig) -> tuple[list[str], list[list], bool]:
@@ -176,48 +184,48 @@ def _weak_curves(p: ModelParams, n_pairs: int) -> list[float]:
     return out
 
 
-def run_weak_compare(cfg: ScanConfig) -> tuple[list[str], list[list]]:
-    header = [cfg.axis, "level", "numeric", "analytic", "deviation"]
-    grid = _grid(cfg)
+def _compare(
+    cfg: ScanConfig, energies: Callable[[ModelParams], list[float] | None]
+) -> tuple[list[str], list[list]]:
+    """Each numeric level against the nearest analytic energy of energies(p).
+
+    energies(p) gives raw energies E, or None where the approximation is
+    undefined (NaN columns). Both values are emitted on the output scale and
+    the deviation is taken there.
+    """
+    grid, levels = _grid_levels(cfg)
     rows = []
-    lam = lambda v: _levels_at(cfg, v)
-    with ThreadPoolExecutor(max_workers=_thread_count(cfg)) as ex:
-        levels = list(ex.map(lam, grid))
     for v, eps in zip(grid, levels):
         p = _params_at(cfg, v)
+        analytic = energies(p)
+        if analytic is None:
+            rows += [[float(v), i, num, math.nan, math.nan]
+                     for i, num in enumerate(_on_scale(cfg, p, eps))]
+            continue
         lam_p = reduce(p).lambda_plus
-        curves = _weak_curves(p, n_pairs=cfg.n_keep + 4)
-        curves_eps = sorted(c / p.omega + lam_p for c in curves)
+        analytic_eps = sorted(a / p.omega + lam_p for a in analytic)
         for i, e in enumerate(eps):
-            nearest = min(curves_eps, key=lambda c: abs(c - e))
-            rows.append([float(v), i, e, nearest, abs(nearest - e)])
-    return header, rows
+            nearest = min(analytic_eps, key=lambda c: abs(c - e))
+            num, ana = _on_scale(cfg, p, [e, nearest])
+            rows.append([float(v), i, num, ana, abs(ana - num)])
+    return [cfg.axis, "level", "numeric", "analytic", "deviation"], rows
+
+
+def run_weak_compare(cfg: ScanConfig) -> tuple[list[str], list[list]]:
+    return _compare(cfg, lambda p: _weak_curves(p, n_pairs=cfg.n_keep + 4))
 
 
 def run_strong_compare(cfg: ScanConfig) -> tuple[list[str], list[list]]:
-    header = [cfg.axis, "level", "numeric", "analytic", "deviation"]
-    rows = []
-    for v in _grid(cfg):
-        p = _params_at(cfg, v)
-        lam_p = reduce(p).lambda_plus
-        eps = fock._eps_levels(p, cfg.n_max, cfg.n_keep)
+    def energies(p: ModelParams) -> list[float] | None:
         try:
             if cfg.approx == "adiabatic":
-                approx = []
-                for bn in range(cfg.n_keep):
-                    lo, hi = strongpert.adiabatic_energies(bn, p)
-                    approx.extend([lo, hi])
-            else:
-                approx = strongpert.squeezed_levels(p, cfg.n_keep + 2)
+                return [e for bn in range(cfg.n_keep)
+                        for e in strongpert.adiabatic_energies(bn, p)]
+            return strongpert.squeezed_levels(p, cfg.n_keep + 2)
         except strongpert.UndefinedRegime:
-            for i in range(cfg.n_keep):
-                rows.append([float(v), i, float(eps[i]), math.nan, math.nan])
-            continue
-        approx_eps = sorted(a / p.omega + lam_p for a in approx)
-        for i, e in enumerate(eps):
-            nearest = min(approx_eps, key=lambda c: abs(c - e))
-            rows.append([float(v), i, float(e), nearest, abs(nearest - e)])
-    return header, rows
+            return None
+
+    return _compare(cfg, energies)
 
 
 def run_rabi_markers(cfg: ScanConfig) -> tuple[list[str], list[list], bool]:

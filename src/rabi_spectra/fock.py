@@ -29,7 +29,6 @@ DEFAULT_N_MAX = 200
 CONV_TOL = 1e-9       # per-level drift tolerance (units of omega)
 GAP_TOL = 1e-7        # below this a gap minimum counts as a crossing (units of omega)
 INT_TOL = 1e-6
-HALF_TOL = 1e-6
 # Up to this many levels per chain, bisection (LAPACK stebz) is cheaper than
 # solving the whole chain (sterf): at n_max 200 one bisected level costs
 # 0.07 ms and a whole 201-site chain 0.74 ms.
@@ -252,15 +251,10 @@ def eigvec_overlap(
     return float(np.linalg.norm(amps))
 
 
-@dataclass
-class _GapScan:
-    g1: np.ndarray
-    eps: np.ndarray  # shape (len(g1), n_levels)
-
-
 def _scan_levels(
     p_template: ModelParams, g1_values: np.ndarray, n_levels: int, n_max: int
-) -> _GapScan:
+) -> np.ndarray:
+    """Lowest n_levels shifted levels at each g1, shape (len(g1_values), n_levels)."""
     def solve(g1: float) -> np.ndarray:
         p = ModelParams(p_template.omega, p_template.omega0, float(g1), p_template.g2)
         return _eps_levels(p, n_max, n_levels)
@@ -269,7 +263,7 @@ def _scan_levels(
     # submission order, so the result is thread-count independent.
     with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as ex:
         rows = list(ex.map(solve, g1_values))
-    return _GapScan(g1=np.asarray(g1_values, dtype=float), eps=np.array(rows))
+    return np.array(rows)
 
 
 def scan_crossings(
@@ -288,8 +282,8 @@ def scan_crossings(
     g1_values = np.asarray(list(g1_grid), dtype=float)
     if len(g1_values) < 3 or np.any(np.diff(g1_values) <= 0):
         raise ValueError("g1_grid must be strictly ascending with >= 3 points")
-    scan = _scan_levels(p_template, g1_values, n_levels, n_max)
-    gaps = np.diff(scan.eps, axis=1)  # (n_grid, n_levels-1)
+    eps = _scan_levels(p_template, g1_values, n_levels, n_max)
+    gaps = np.diff(eps, axis=1)  # (n_grid, n_levels-1)
     events: list[CrossingEvent] = []
     omega = p_template.omega
 

@@ -88,3 +88,22 @@ def hierarchy_closure_chain(
         else:
             return rest
     raise AssertionError("unreachable: d_j >= 1 always terminates the chain")
+
+
+def bae_residual_loop(
+    roots: Sequence[complex], levels: Sequence[float], strengths: Sequence[float], nu: float
+) -> np.ndarray:
+    """Richardson residuals sum 2/(z_j-z_i) + sum_s w_s/(z_i-e_s) + 2nu, root by root.
+
+    The reference for the vectorised `bethe._bae_residual`.
+    """
+    z = np.asarray(roots, dtype=complex)
+    n = len(z)
+    res = np.full(n, 2 * nu, dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            if j != i:
+                res[i] += 2.0 / (z[j] - z[i])
+        for e_s, w_s in zip(levels, strengths):
+            res[i] += w_s / (z[i] - e_s)
+    return res

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import hierarchy_closure_chain, lambda_linear_matrix, lambda_linear_solve_n1
+from oracles import (bae_residual_loop, hierarchy_closure_chain, lambda_linear_matrix,
+                     lambda_linear_solve_n1)
 from rabi_spectra import bethe, fock
 from rabi_spectra.core import ModelParams, ReducedParams, invert, reduce
 
@@ -91,6 +92,20 @@ class TestResidualBae:
         r = reduced(0.6, 0.4)
         with pytest.raises(bethe.PoleCollision):
             bethe.residual_bae([0.4 + 1e-12], r, 1.0)
+
+    def test_vectorised_matches_loop(self):
+        rng = np.random.default_rng(31)
+        for n_levels in (2, 3):
+            for n in range(1, 14):
+                for _ in range(5):
+                    z = rng.normal(0, 2, n) + 1j * rng.normal(0, 2, n)
+                    levels = rng.uniform(-1, 1, n_levels)
+                    strengths = rng.uniform(-n, n + 1, n_levels)
+                    nu = rng.uniform(0.1, 1.0)
+                    got = bethe._bae_residual(z, levels, strengths, nu)
+                    want = bae_residual_loop(z, levels, strengths, nu)
+                    scale = np.max(np.abs(want))
+                    assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
 @pytest.fixture(scope="module")
@@ -408,6 +423,12 @@ class TestRabiLine:
         assert abs(pt.epsilon_at_crossing - 2) < 1e-6
         res = bethe.residual_bae_rabi(pt.solution.roots, pt.reduced.nu, 2.0)
         assert np.max(np.abs(res)) < 1e-10
+
+    def test_zero_on_grid_point_reported_once(self):
+        # at delta = 0 the n = 0 condition 1 - 4 g^2 is exactly 0 on the
+        # middle grid point g = 0.5, which ends both grid cells
+        pts = bethe.rabi_exceptional(0, 1.0, 0.0, (0.25, 0.75), grid=3)
+        assert [pt.params.g1 for pt in pts] == [0.5]
 
 
 class TestEigenstates:
