@@ -1,17 +1,20 @@
 """Exceptional-spectrum engine: Bethe/Richardson equations in Lambda variables.
 
 The exceptional eigenvalues sit at integer shifted energy eps = n. Their
-polynomial Bargmann factors have roots (rapidities) z_i obeying Richardson
-equations with three "levels" eps_s = (nu, -nu, kappa) of degeneracies
-d_s = (n-1, n, 1):
+polynomial Bargmann factors chi = prod (z - z_i) have roots (rapidities) z_i
+obeying Richardson equations with three "levels" eps_s = (nu, -nu, kappa)
+of degeneracies d_s = (n-1, n, 1):
 
     sum_{j!=i} 2/(z_j - z_i) + sum_s d_s/(z_i - eps_s) + 2 nu = 0.
 
-The change of variables Lambda_j = (1/2nu) sum_k 1/(eps_j - z_k) closes into
-a quadratic equation plus a derivative hierarchy; together with the two
-integer-energy conditions fixing (Z1, Z2) this collapses the root search to
-a single scalar condition F(kappa, nu, delta) whose zeros are the
-exceptional parameter surfaces. Scaled derivatives are used throughout:
+Equivalently chi is a null vector of the Bargmann ODE on the monomials
+z^0..z^n (`_hs_operator`, the Heine-Stieltjes form): exceptional points are
+located and solved through it for every n. The paper's Lambda form stays
+available: Lambda_j = (1/2nu) sum_k 1/(eps_j - z_k) closes into a quadratic
+equation plus a derivative hierarchy; with the two integer-energy conditions
+fixing (Z1, Z2) this gives a single scalar condition F(kappa, nu, delta)
+whose zeros are the exceptional surfaces, and the closed system gives the
+root branches of `branch_Z`. Scaled derivatives are used throughout:
 
     Lambda_j^(l) = (-1)^l l! / (2nu)^(l+1) * sum_k (eps_j - z_k)^(-(l+1)),
 
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import comb
+from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,8 +40,10 @@ from .special import genlaguerre_roots
 
 PARAM_TOL = 1e-10
 BETHE_TOL = 1e-10
-COND_TOL = 1e-8
 POLE_TOL = 1e-8
+# sigma_min / scale of the Heine-Stieltjes operator: <= 1.1e-11 at the points
+# of the exceptional-search lines, >= 3.5e-3 at sign changes without a null vector
+NULL_TOL = 1e-9
 
 
 class RabiLimit(ValueError):
@@ -89,14 +94,6 @@ class BetheSolution:
 
 
 @dataclass(frozen=True)
-class LambdaState:
-    lam: tuple[float, ...]
-    derivatives: dict[int, list[float]]
-    levels: tuple[float, ...]
-    degeneracies: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class ExceptionalPoint:
     n: int
     params: ModelParams
@@ -112,19 +109,36 @@ def ode_coefficients(r: ReducedParams, epsilon: float) -> OdeCoefficients:
     """D2 coefficients and pole data of the Bargmann ODE at shifted energy eps."""
     if r.rabi_limit or r.kappa is None:
         raise RabiLimit("ode_coefficients needs lambda- != 0; use the Rabi-limit path")
+    d0, d1, d2 = _d_coefficients(r, epsilon)
+    nu = r.nu
+    return OdeCoefficients(
+        d0=d0, d1=d1, d2=d2,
+        rho=(nu, -nu, r.kappa),
+        nu_s=(1 - epsilon, -epsilon, -1.0),
+        nu0=-2 * nu,
+    )
+
+
+def _d_coefficients(r: ReducedParams, epsilon: float) -> tuple[float, float, float]:
+    """(d0, d1, d2) of D2; r must be off the Rabi line."""
     k, nu, dl, lp = r.kappa, r.nu, r.delta, r.lambda_plus
     e = epsilon - lp
     d0 = k * (dl * dl - epsilon * epsilon + 2 * epsilon * lp - lp * lp + lp + nu * nu + nu ** 4) \
         + nu * (epsilon - lp - nu * nu)
     d1 = e * (e + 1) - dl * dl + dl * lp / r.lambda_minus + nu * k - nu * nu \
         - 2 * nu * epsilon * k - nu ** 4
-    d2 = 2 * nu * epsilon
-    return OdeCoefficients(
-        d0=d0, d1=d1, d2=d2,
-        rho=(nu, -nu, k),
-        nu_s=(1 - epsilon, -epsilon, -1.0),
-        nu0=-2 * nu,
-    )
+    return d0, d1, 2 * nu * epsilon
+
+
+def _d_scale(r: ReducedParams, epsilon: float) -> float:
+    """Sum of the magnitudes of the terms of d0 and d1 (at eps = 0 both
+    cancel exactly on kappa = nu, so they are judged against this)."""
+    k, nu, dl, lp = abs(r.kappa), r.nu, r.delta, r.lambda_plus
+    ae, e = abs(epsilon), epsilon - lp
+    return k * (dl * dl + ae * ae + 2 * ae * lp + lp * lp + lp + nu * nu + nu ** 4) \
+        + nu * (ae + lp + nu * nu) \
+        + abs(e * (e + 1)) + dl * dl + abs(dl * lp / r.lambda_minus) + nu * k + nu * nu \
+        + 2 * nu * ae * k + nu ** 4
 
 
 # ---------------------------------------------------------------------------
@@ -274,44 +288,6 @@ def _is_conjugate_closed(z: np.ndarray) -> bool:
 # Lambda variables, the linear system, and the derivative hierarchy
 # ---------------------------------------------------------------------------
 
-def _lambda_scaled_derivative(
-    roots: np.ndarray, eps_j: float, order: int, nu: float
-) -> float:
-    """Lambda_j^(l) = (-1)^l l!/(2nu)^(l+1) sum_k (eps_j - z_k)^-(l+1)."""
-    z = np.asarray(roots, dtype=complex)
-    s = np.sum(1.0 / (eps_j - z) ** (order + 1)) if len(z) else 0.0
-    val = (-1) ** order * math.factorial(order) / (2 * nu) ** (order + 1) * s
-    return float(np.real(val))
-
-
-def lambda_from_roots(
-    roots: Sequence[complex], r: ReducedParams, n: int
-) -> LambdaState:
-    """Lambda values and scaled derivatives evaluated directly from rapidities.
-
-    Degeneracies follow the exceptional assignment d = (n-1, n, 1) at the
-    levels (nu, -nu, kappa); derivatives are produced for every level with
-    d_j > 1 up to order d_j - 1.
-    """
-    if r.kappa is None:
-        raise RabiLimit("lambda_from_roots on the Rabi line")
-    z = np.asarray(roots, dtype=complex)
-    levels = (r.nu, -r.nu, r.kappa)
-    degeneracies = (n - 1, n, 1)
-    if len(z):
-        _check_poles(z, levels)
-    lam = tuple(_lambda_scaled_derivative(z, e, 0, r.nu) for e in levels)
-    derivs: dict[int, list[float]] = {}
-    for j, d_j in enumerate(degeneracies):
-        if d_j > 1:
-            derivs[j] = [
-                _lambda_scaled_derivative(z, levels[j], l, r.nu)
-                for l in range(1, d_j)
-            ]
-    return LambdaState(lam=lam, derivatives=derivs, levels=levels,
-                       degeneracies=degeneracies)
-
-
 def lambda_linear_solve(
     Z1: float, Z2: float, n: int, kappa: float, nu: float
 ) -> tuple[float, float, float]:
@@ -334,64 +310,6 @@ def lambda_linear_solve(
     return (l1, l2, l3)
 
 
-def hierarchy_terms(
-    j: int,
-    l: int,
-    lam: Sequence[float],
-    derivs_j: Sequence[float],
-    next_deriv: float,
-    levels: Sequence[float],
-    degeneracies: Sequence[float],
-    nu: float,
-) -> list[float]:
-    """Additive terms of the l-th derivative equation E_j^(l).
-
-    derivs_j holds Lambda_j^(1..l) (scaled convention); next_deriv supplies
-    Lambda_j^(l+1), whose coefficient (1 - d_j/(l+1)) vanishes identically at
-    l = d_j - 1 where the equation turns into a pure constraint. l = 0
-    reproduces the quadratic equation. The term list lets callers form both
-    the residual and its natural magnitude scale.
-    """
-    d_j = degeneracies[j]
-
-    def lam_j(order: int) -> float:
-        if order == 0:
-            return lam[j]
-        if order == l + 1:
-            return next_deriv
-        return derivs_j[order - 1]
-
-    terms = [(1.0 - d_j / (l + 1)) * lam_j(l + 1), -lam_j(l)]
-    for k in range(l + 1):
-        terms.append(comb(l, k) * lam_j(k) * lam_j(l - k))
-    fact_l = math.factorial(l)
-    for i, (e_i, d_i) in enumerate(zip(levels, degeneracies)):
-        if i == j:
-            continue
-        de = e_i - levels[j]
-        terms.append(-fact_l * d_i * (lam[i] - lam[j])
-                     / ((2 * nu) ** (l + 1) * de ** (l + 1)))
-        for m in range(1, l + 1):
-            terms.append(fact_l * d_i * lam_j(l - m + 1)
-                         / ((2 * nu) ** m * math.factorial(l - m + 1) * de ** m))
-    return terms
-
-
-def hierarchy_residual(
-    j: int,
-    l: int,
-    lam: Sequence[float],
-    derivs_j: Sequence[float],
-    next_deriv: float,
-    levels: Sequence[float],
-    degeneracies: Sequence[float],
-    nu: float,
-) -> float:
-    """Residual of the l-th derivative equation E_j^(l); see hierarchy_terms."""
-    return math.fsum(hierarchy_terms(j, l, lam, derivs_j, next_deriv,
-                                     levels, degeneracies, nu))
-
-
 def _hierarchy_closure(
     j: int,
     lam: Sequence[float],
@@ -405,10 +323,10 @@ def _hierarchy_closure(
     Lambda_j^(1..d_j-1); E_j^(d_j-1) has a vanishing leading coefficient and
     its value is the scalar exceptional condition.
 
-    Order l sums the terms of `hierarchy_terms` with Lambda_j^(l+1) = 0,
-    written inline with the same expressions; the term of that unknown is an
-    exact zero, which math.fsum ignores, so each order's residual is
-    bit-identical to `hierarchy_residual`.
+    Order l sums the additive terms of the l-th derivative equation E_j^(l)
+    with Lambda_j^(l+1) = 0; the term of that unknown is an exact zero, which
+    math.fsum ignores. The term-by-term reference is `hierarchy_terms` in
+    the tests' oracles, and this closure is bit-identical to its chain.
     """
     d_j = degeneracies[j]
     lam_j = lam[j]
@@ -489,7 +407,7 @@ def exceptional_condition_n1(
 
     Returns the first condition's residual; on the exceptional surface the
     second follows automatically (they are dependent modulo the Bethe
-    equations), and verification re-checks it.
+    equations), but a zero of the first alone need not be exceptional.
     """
     z1 = closed_form_roots_n1(kappa, nu)[branch]
     r_a, _ = condition_residuals(z1, z1 * z1, 1, kappa, nu, delta)
@@ -517,7 +435,7 @@ def exceptional_condition(n: int, kappa: float, nu: float, delta: float) -> floa
 def power_sums_from_lambda(
     n: int,
     Z1: float,
-    Z2: float | None,
+    Z2: float,
     lam: Sequence[float],
     levels: Sequence[float],
     degeneracies: Sequence[float],
@@ -527,10 +445,9 @@ def power_sums_from_lambda(
 
     Z_{k} follows from summing z_i^k times the Richardson equations, which
     telescope into a recursion in the lower power sums; this seeds the
-    polynomial whose roots initialize Newton refinement. With Z2 = None the
-    recursion also supplies Z2 (the Rabi line fixes only Z1).
+    polynomial whose roots initialize Newton refinement.
     """
-    zs = ([float(n), Z1] if Z2 is None else [float(n), Z1, Z2])[: n + 1]
+    zs = [float(n), Z1, Z2][: n + 1]
     d = np.asarray(degeneracies, dtype=float)
     e = np.asarray(levels, dtype=float)
     lm = np.asarray(lam, dtype=float)
@@ -559,7 +476,7 @@ def roots_from_power_sums(power_sums: Sequence[float]) -> np.ndarray:
 
 
 def _polished_roots(
-    n: int, Z1: float, Z2: float | None, lam: Sequence[float],
+    n: int, Z1: float, Z2: float, lam: Sequence[float],
     levels: Sequence[float], strengths: Sequence[float], nu: float,
 ) -> np.ndarray | None:
     """Rapidities from the Lambda data: power sums, their polynomial's roots,
@@ -573,6 +490,96 @@ def _polished_roots(
 
 
 # ---------------------------------------------------------------------------
+# The Heine-Stieltjes operator: chi as a null vector
+# ---------------------------------------------------------------------------
+
+def _hs_operator(
+    levels: Sequence[float], strengths: Sequence[float], nu: float,
+    v: Sequence[float], n: int,
+) -> list[list[float]]:
+    """Rows of chi -> A chi'' - B chi' - V chi on the monomials z^0..z^n.
+
+    A = prod_s (z - e_s), B = A (sum_s w_s/(z - e_s) + 2 nu) and v holds the
+    ascending coefficients of V. A monic chi is a null vector exactly when
+    its roots solve sum_{j!=i} 2/(z_j - z_i) + sum_s w_s/(z_i - e_s) + 2 nu
+    = 0. Row k + d of column k holds k(k-1) a_{d+2} - k b_{d+1} - v_d, for
+    d = -2 .. 2 and rows of degree 0 .. n + deg A - 1; the top row vanishes
+    when V has degree deg A - 1 and leading coefficient -2 nu n, as at both
+    callers.
+    """
+    a = [1.0]
+    for e in levels:  # a <- (z - e) a
+        a.insert(0, 0.0)
+        for i in range(len(a) - 1):
+            a[i] -= e * a[i + 1]
+    m = len(a)
+    b = [2 * nu * x for x in a]
+    for e, w in zip(levels, strengths):
+        q = 0.0  # A / (z - e) by synthetic division, top coefficient first
+        for i in range(m - 1, 0, -1):
+            q = a[i] + e * q
+            b[i - 1] += w * q
+    # a_{d+2}, b_{d+1} and v_d at index d + 2
+    a5 = a + [0.0] * (5 - m)
+    b5 = [0.0] + b + [0.0] * (4 - m)
+    v5 = [0.0, 0.0] + list(v) + [0.0] * (3 - len(v))
+    rows = n + m - 1
+    op = [[0.0] * (n + 1) for _ in range(rows)]
+    for k in range(n + 1):
+        for j in range(max(0, 2 - k), min(5, rows + 2 - k)):
+            op[k + j - 2][k] = k * (k - 1) * a5[j] - k * b5[j] - v5[j]
+    return op
+
+
+def _exceptional_operator(n: int, r: ReducedParams) -> list[list[float]]:
+    """`_hs_operator` at eps = n: levels (nu, -nu, kappa), strengths
+    (n-1, n, 1) and V = -D2 (`ode_coefficients`); n + 3 rows."""
+    d0, d1, d2 = _d_coefficients(r, float(n))
+    return _hs_operator((r.nu, -r.nu, r.kappa), (n - 1.0, float(n), 1.0), r.nu,
+                        (-d0, -d1, -d2), n)
+
+
+def _row0_terminal(op: list[list[float]]) -> float:
+    """Scan scalar: the degree-0 row's residual, over max |c|, after rows
+    n+1 .. 2 fix c_{n-1} .. c_0 from c_n = 1 (row m through its pivot
+    2 nu (n - m + 2), never 0, so the scalar is smooth). It vanishes at
+    every exceptional point, and where only the degree-1 row is violated."""
+    n = len(op[0]) - 1
+    c = [0.0] * n + [1.0]
+    for m in range(n + 1, 1, -1):  # c[m - 2] is still 0 in the product
+        c[m - 2] = -sum(map(mul, op[m], c)) / op[m][m - 2]
+    return sum(map(mul, op[0], c)) / max(map(abs, c))
+
+
+def _has_null_vector(n: int, r: ReducedParams) -> bool:
+    """True when the exceptional operator, top row dropped, has a null vector:
+    sigma_min <= NULL_TOL max(sigma_max, `_d_scale`). The scale term serves
+    n = 0, whose single column (d0, d1) vanishes at the point."""
+    s = np.linalg.svd(np.array(_exceptional_operator(n, r)[:-1]), compute_uv=False)
+    return bool(s[-1] <= NULL_TOL * max(s[0], _d_scale(r, float(n))))
+
+
+def _null_vector_solution(
+    op: list[list[float]], levels: Sequence[float], strengths: Sequence[float], nu: float,
+) -> BetheSolution | None:
+    """The roots of the null vector chi of op (top row dropped), polished by
+    Newton on the Bethe equations; None if Newton does not converge."""
+    chi = np.linalg.svd(np.array(op[:-1]))[2][-1]
+    z = _newton_bae(np.roots(chi[::-1]), levels, strengths, nu)
+    if z is None:
+        return None
+    res = _bae_residual(z, levels, strengths, nu)
+    return BetheSolution(len(z), z, float(np.sum(z).real), float(np.sum(z ** 2).real),
+                         float(np.max(np.abs(res), initial=0.0)))
+
+
+def _recover_solution(n: int, r: ReducedParams) -> BetheSolution | None:
+    """Rapidities at an exceptional point at eps = n, or None."""
+    return _null_vector_solution(_exceptional_operator(n, r), (r.nu, -r.nu, r.kappa),
+                                 (n - 1.0, float(n), 1.0), r.nu)
+
+
+# ---------------------------------------------------------------------------
 # Locating exceptional points along one-parameter scans
 # ---------------------------------------------------------------------------
 
@@ -583,41 +590,6 @@ def _params_with(fixed: dict, free: str, value: float) -> ModelParams:
     kw = dict(fixed)
     kw[free] = value
     return ModelParams(**kw)
-
-
-def _recover_solution(
-    n: int, r: ReducedParams, branch_hint: int | None = None
-) -> BetheSolution | None:
-    """Rapidities at a candidate exceptional point, Newton-refined."""
-    kappa, nu = r.kappa, r.nu
-    if n == 0:
-        return BetheSolution(n=0, roots=np.zeros(0, dtype=complex), Z1=0.0, Z2=0.0,
-                             residual_max=0.0, branch_id="n0")
-    z1c, z2c = z1z2_from_conditions(n, kappa, nu, r.delta)
-    levels = (nu, -nu, kappa)
-    strengths = (n - 1.0, float(n), 1.0)
-    if n == 1:
-        candidates = closed_form_roots_n1(kappa, nu)
-        order = [branch_hint] if branch_hint is not None else [0, 1]
-        for b in order:
-            z = np.array([candidates[b]], dtype=complex)
-            if abs(z[0] - z1c) < 1e-6 * max(1.0, abs(z1c)):
-                res = np.max(np.abs(residual_bae(z, r, float(n))))
-                return BetheSolution(1, z, float(z[0].real), float((z[0] ** 2).real),
-                                     float(res), branch_id=f"z1{'+' if b == 0 else '-'}")
-        return None
-    lam = lambda_linear_solve(z1c, z2c, n, kappa, nu)
-    z = _polished_roots(n, z1c, z2c, lam, levels, strengths, nu)
-    if z is None:
-        return None
-    try:
-        res = np.max(np.abs(residual_bae(z, r, float(n))))
-    except PoleCollision:
-        return None
-    Z1, Z2 = np.sum(z), np.sum(z ** 2)
-    if abs(Z1.imag) > 1e-8 or abs(Z2.imag) > 1e-8:
-        return None
-    return BetheSolution(n, z, float(Z1.real), float(Z2.real), float(res))
 
 
 def _fock_gap_at(p: ModelParams, n: int, n_max: int) -> tuple[float, float]:
@@ -634,26 +606,6 @@ def _fock_gap_at(p: ModelParams, n: int, n_max: int) -> tuple[float, float]:
         return math.inf, math.nan
     best = cand[np.argmin(gaps[cand])]
     return float(gaps[best]), float(mids[best])
-
-
-def _bethe_side_solution(
-    n: int, r: ReducedParams, branch_hint: int | None
-) -> BetheSolution | None:
-    """Recovered rapidities if the point is Bethe-consistent, else None.
-
-    A zero of the single-chain condition F is only necessary; the recovered
-    roots must solve the Bethe equations and reproduce both integer-energy
-    conditions. Candidates failing here are mostly bracketing artifacts, but
-    a real point whose rapidities Newton cannot recover fails here too.
-    """
-    sol = _recover_solution(n, r, branch_hint)
-    if sol is None or sol.residual_max > BETHE_TOL * 10:
-        return None
-    ra, rb = condition_residuals(sol.Z1, sol.Z2, n, r.kappa, r.nu, r.delta)
-    scale = max(1.0, abs(sol.Z1), abs(sol.Z2))
-    if max(abs(ra), abs(rb)) > COND_TOL * scale:
-        return None
-    return sol
 
 
 def _verify_point(
@@ -707,61 +659,36 @@ def find_exceptional(
     grid: int = 400,
     n_max: int = fock.DEFAULT_N_MAX,
 ) -> list[ExceptionalPoint]:
-    """Scan one model parameter for zeros of the exceptional condition.
+    """Exceptional points at eps = n along a scan of one model parameter.
 
     `fixed` holds three of {omega, omega0, g1, g2}; `free` names the fourth,
-    scanned over free_range on a uniform grid with sign-change bracketing and
-    bisection to PARAM_TOL. Each root is then checked on the Bethe side: its
-    rapidities are recovered and residual-checked, and both integer-energy
-    conditions are re-evaluated. A root that fails this check is dropped as
-    a bracketing artifact; so is a real point whose rapidities cannot be
-    recovered (near the kappa = nu pole, e.g. n = 8 at g1 ~ 1.223668 for
-    (omega, omega0, g2) = (1, 0.7, 0.1)). Every root that passes is returned,
-    with verified=False if the Fock gap at eps = n does not confirm it.
+    scanned over free_range on a uniform grid. For every n >= 0 the sign
+    changes of `_row0_terminal` are bisected to PARAM_TOL. A zero where the
+    operator has no null vector is not an exceptional point and is not
+    returned; every other one is, with its rapidities from the null vector
+    and verified against the Fock gap at eps = n, or unverified with
+    "rapidity recovery failed" if Newton does not converge. The Rabi line
+    and its immediate neighbourhood are left to `rabi_exceptional`.
     """
     if free not in _FREE_PARAMS or set(fixed) != set(_FREE_PARAMS) - {free}:
         raise ValueError(f"free must be one of {_FREE_PARAMS} with the rest fixed")
-    lo, hi = free_range
-    ts = np.linspace(lo, hi, grid)
-    branches: list[int | None] = [0, 1] if n == 1 else [None]
-    points: list[ExceptionalPoint] = []
 
-    def f_of(t: float, branch: int | None) -> float:
+    def scalar(t: float) -> float:
         try:
-            p = _params_with(fixed, free, float(t))
+            r = reduce(_params_with(fixed, free, float(t)))
         except ValueError:
             return math.nan
-        r = reduce(p)
-        if r.rabi_limit or r.kappa is None or r.nu <= 0:
+        if r.rabi_limit or r.nu <= 0 or abs(r.lambda_minus) < 1e-6 * r.lambda_plus:
             return math.nan
-        # The immediate Rabi neighborhood is served by rabi_exceptional.
-        if abs(r.lambda_minus) < 1e-6 * r.lambda_plus:
-            return math.nan
-        # kappa^2 = nu^2 degenerates the Lambda system for n >= 1; for n = 0
-        # kappa = nu is the exceptional surface itself.
-        if n >= 1 and abs(r.kappa ** 2 - r.nu ** 2) < 1e-10 * max(1.0, r.nu ** 2):
-            return math.nan
-        try:
-            if n == 0:
-                return exceptional_condition_n0(r.kappa, r.nu)
-            if n == 1:
-                return exceptional_condition_n1(r.kappa, r.nu, r.delta, branch)
-            return exceptional_condition(n, r.kappa, r.nu, r.delta)
-        except (SingularSystem, ValueError, ZeroDivisionError):
-            return math.nan
+        return _row0_terminal(_exceptional_operator(n, r))
 
-    for branch in branches:
-        for t_root in _grid_roots(lambda t: f_of(t, branch), ts):
-            p = _params_with(fixed, free, float(t_root))
-            r = reduce(p)
-            sol = _bethe_side_solution(n, r, branch)
-            if sol is None:
-                continue
-            # The same root can be bracketed by both n=1 branches; dedupe.
-            if not any(abs(getattr(q.params, free) - t_root) < 1e-7 * max(1.0, abs(t_root))
-                       for q in points):
-                points.append(_verify_point(n, p, r, sol, n_max))
-    points.sort(key=lambda q: getattr(q.params, free))
+    points: list[ExceptionalPoint] = []
+    for t_root in _grid_roots(scalar, np.linspace(*free_range, grid)):
+        p = _params_with(fixed, free, float(t_root))
+        r = reduce(p)
+        if _has_null_vector(n, r):
+            sol = _recover_solution(n, r)
+            points.append(_verify_point(n, p, r, sol, n_max, recovered=sol is not None))
     return points
 
 
@@ -786,8 +713,10 @@ def _stieltjes_group_roots(
     poles: Sequence[float], strengths: Sequence[float], degree: int
 ) -> np.ndarray | None:
     """Roots of the degree-q polynomial solution of the two-pole Stieltjes
-    problem sum 2/(w_j - w_i) + sum_s a_s/(w_i - p_s) = 0.
+    problem sum_{j!=i} 2/(w_i - w_j) + sum_s a_s/(w_i - p_s) = 0.
 
+    The pair sign is opposite to the Bethe equations (whose pair term is
+    2/(w_j - w_i)): the partition starts are built from this flipped problem.
     The polynomial solves A(z) y'' + B(z) y' = lam y with A = prod(z - p_s),
     B = sum_s a_s prod_{t != s}(z - p_t); solutions are nullspace vectors of
     the operator restricted to degree <= q.
@@ -1032,24 +961,27 @@ def rabi_condition(n: int, nu: float, delta: float) -> float:
     return _hierarchy_closure(0, lam, (nu, -nu), (n, n + 1), nu)
 
 
+def _rabi_line_z1(n: int, nu: float, delta: float) -> float:
+    """Z1 fixed by the Rabi-line condition."""
+    return (1.0 - delta * delta - 2 * nu * nu * (n + 2)) / (2 * nu)
+
+
 def _rabi_line_lambda(n: int, nu: float, delta: float) -> tuple[float, tuple[float, float]]:
     """Z1 and (Lambda_1, Lambda_2) fixed by the Rabi-line condition, n >= 1."""
-    Z1 = (1.0 - delta * delta - 2 * nu * nu * (n + 2)) / (2 * nu)
+    Z1 = _rabi_line_z1(n, nu, delta)
     l1 = (2 * nu * Z1 + n * (n + 2 + 2 * nu * nu)) / (4 * nu ** 2 * n)
     l2 = -(2 * nu * Z1 + n * (n + 2 - 2 * nu * nu)) / (4 * nu ** 2 * (n + 1))
     return Z1, (l1, l2)
 
 
 def _recover_rabi_solution(n: int, nu: float, delta: float) -> BetheSolution | None:
-    if n == 0:
-        return BetheSolution(0, np.zeros(0, dtype=complex), 0.0, 0.0, 0.0, "rabi-n0")
-    Z1, lam = _rabi_line_lambda(n, nu, delta)
-    z = _polished_roots(n, Z1, None, lam, (nu, -nu), (float(n), float(n + 1)), nu)
-    if z is None:
-        return None
-    res = np.max(np.abs(residual_bae_rabi(z, nu, float(n + 1))))
-    Z1r, Z2r = np.sum(z), np.sum(z ** 2)
-    return BetheSolution(n, z, float(Z1r.real), float(Z2r.real), float(res), "rabi")
+    """Rabi-line rapidities from the null vector of `_hs_operator` with levels
+    (nu, -nu), strengths (n, n+1) and V = v0 - 2 nu n z, where the degree-n
+    row and the Rabi-line Z1 give v0 = n(n-1) - (2n+1) n - 2 nu Z1."""
+    v0 = n * (n - 1) - (2 * n + 1) * n - 2 * nu * _rabi_line_z1(n, nu, delta)
+    levels, strengths = (nu, -nu), (float(n), n + 1.0)
+    return _null_vector_solution(_hs_operator(levels, strengths, nu, (v0, -2 * nu * n), n),
+                                 levels, strengths, nu)
 
 
 def rabi_exceptional(
@@ -1072,8 +1004,8 @@ def rabi_exceptional(
     for g_root in _grid_roots(lambda g: rabi_condition(n, g / omega, delta), gs):
         p = ModelParams(omega, omega0, g_root, g_root)
         sol = _recover_rabi_solution(n, g_root / omega, delta)
-        ok = sol is not None and sol.residual_max < BETHE_TOL * 10
-        points.append(_verify_point(n + 1, p, reduce(p), sol, n_max, recovered=ok))
+        points.append(_verify_point(n + 1, p, reduce(p), sol, n_max,
+                                    recovered=sol is not None))
     return points
 
 

@@ -13,6 +13,7 @@ import pytest
 from scipy.linalg import eigh
 from scipy.optimize import brentq
 
+from oracles import hierarchy_terms, lambda_from_roots, lambda_scaled_derivative
 from rabi_spectra import bethe, fock, strongpert, weakpert
 from rabi_spectra.core import ModelParams, invert, mirror, reduce
 from rabi_spectra.special import genlaguerre
@@ -71,7 +72,7 @@ def test_criterion_02_n1_closed_form_roots_and_p1_points():
                 d0 = brentq(lambda d: bethe.exceptional_condition_n1(kappa, nu, d, branch),
                             deltas[i], deltas[i + 1], xtol=1e-12)
                 p = invert(kappa, nu, d0, 1.0)
-                if bethe._bethe_side_solution(1, reduce(p), branch) is None:
+                if not bethe._has_null_vector(1, reduce(p)):
                     continue
                 gap, eps_at = bethe._fock_gap_at(p, 1, 200)
                 assert gap < 1e-7, (kappa, nu, d0)
@@ -327,17 +328,17 @@ def test_criterion_10_structural_invariants():
         for s in bethe.branch_Z(n, kappa, nu, extra_starts=120, seed=int(rng.integers(1e6))):
             solutions.append((n, kappa, nu, s))
     for n, kappa, nu, s in solutions:
-        lam_roots = bethe.lambda_from_roots(s.roots, reduce(invert(kappa, nu, 1.0, 1.0)), n)
+        lam_roots = lambda_from_roots(s.roots, reduce(invert(kappa, nu, 1.0, 1.0)), n)
         lam_lin = bethe.lambda_linear_solve(s.Z1, s.Z2, n, kappa, nu)
         for a, b in zip(lam_lin, lam_roots.lam):
             assert a == pytest.approx(b, rel=1e-10, abs=1e-10)
         for j, d_j in enumerate(lam_roots.degeneracies):
             for l in range(d_j):
-                derivs = [bethe._lambda_scaled_derivative(s.roots, lam_roots.levels[j], o, nu)
+                derivs = [lambda_scaled_derivative(s.roots, lam_roots.levels[j], o, nu)
                           for o in range(1, l + 1)]
-                nxt = bethe._lambda_scaled_derivative(s.roots, lam_roots.levels[j], l + 1, nu)
-                terms = bethe.hierarchy_terms(j, l, lam_roots.lam, derivs, nxt,
-                                              lam_roots.levels, lam_roots.degeneracies, nu)
+                nxt = lambda_scaled_derivative(s.roots, lam_roots.levels[j], l + 1, nu)
+                terms = hierarchy_terms(j, l, lam_roots.lam, derivs, nxt,
+                                        lam_roots.levels, lam_roots.degeneracies, nu)
                 assert abs(math.fsum(terms)) < 1e-9 * max(1.0, max(abs(x) for x in terms))
     # JC-limit exactness at g2 = 0 to 1e-12 on 100 instances
     for _ in range(100):

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (bae_residual_loop, hierarchy_closure_chain, lambda_linear_matrix,
-                     lambda_linear_solve_n1)
+from oracles import (bae_residual_loop, hierarchy_closure_chain, hierarchy_residual,
+                     hierarchy_terms, lambda_from_roots, lambda_linear_matrix,
+                     lambda_linear_solve_n1, lambda_scaled_derivative, parity_crossings)
 from rabi_spectra import bethe, fock
 from rabi_spectra.core import ModelParams, ReducedParams, invert, reduce
 
@@ -125,31 +126,31 @@ def branch_solutions():
 
 class TestLambdaMachinery:
     def test_lambda_from_roots_trivial_n0(self):
-        st = bethe.lambda_from_roots([], reduced(0.5, 0.4), 0)
+        st = lambda_from_roots([], reduced(0.5, 0.4), 0)
         assert st.lam == (0.0, 0.0, 0.0)
 
     def test_sum_rule_and_quad_on_branches(self, branch_solutions):
         for n, kappa, nu, s in branch_solutions:
-            st = bethe.lambda_from_roots(s.roots, reduced(kappa, nu), n)
+            st = lambda_from_roots(s.roots, reduced(kappa, nu), n)
             d = st.degeneracies
             assert sum(dj * lj for dj, lj in zip(d, st.lam)) == pytest.approx(n, abs=1e-9)
             # quadratic equation residual for every level
             for j in range(3):
-                nxt = bethe._lambda_scaled_derivative(s.roots, st.levels[j], 1, nu)
-                res = bethe.hierarchy_residual(j, 0, st.lam, [], nxt,
-                                               st.levels, d, nu)
+                nxt = lambda_scaled_derivative(s.roots, st.levels[j], 1, nu)
+                res = hierarchy_residual(j, 0, st.lam, [], nxt,
+                                         st.levels, d, nu)
                 assert abs(res) < 1e-10 * max(1.0, max(abs(v) for v in st.lam) ** 2)
 
     def test_hierarchy_residuals_all_orders(self, branch_solutions):
         for n, kappa, nu, s in branch_solutions:
-            st = bethe.lambda_from_roots(s.roots, reduced(kappa, nu), n)
+            st = lambda_from_roots(s.roots, reduced(kappa, nu), n)
             for j, d_j in enumerate(st.degeneracies):
                 for l in range(d_j):
-                    derivs = [bethe._lambda_scaled_derivative(s.roots, st.levels[j], o, nu)
+                    derivs = [lambda_scaled_derivative(s.roots, st.levels[j], o, nu)
                               for o in range(1, l + 1)]
-                    nxt = bethe._lambda_scaled_derivative(s.roots, st.levels[j], l + 1, nu)
-                    terms = bethe.hierarchy_terms(j, l, st.lam, derivs, nxt,
-                                                  st.levels, st.degeneracies, nu)
+                    nxt = lambda_scaled_derivative(s.roots, st.levels[j], l + 1, nu)
+                    terms = hierarchy_terms(j, l, st.lam, derivs, nxt,
+                                            st.levels, st.degeneracies, nu)
                     scale = max(1.0, max(abs(t) for t in terms))
                     assert abs(math.fsum(terms)) < 1e-9 * scale
 
@@ -157,7 +158,7 @@ class TestLambdaMachinery:
         for n, kappa, nu, s in branch_solutions:
             if n < 2:
                 continue
-            st = bethe.lambda_from_roots(s.roots, reduced(kappa, nu), n)
+            st = lambda_from_roots(s.roots, reduced(kappa, nu), n)
             lam = bethe.lambda_linear_solve(s.Z1, s.Z2, n, kappa, nu)
             for a, b in zip(lam, st.lam):
                 assert a == pytest.approx(b, rel=1e-10, abs=1e-10)
@@ -184,7 +185,7 @@ class TestLambdaMachinery:
         kappa, nu = 0.5, 0.4
         z1 = bethe.closed_form_roots_n1(kappa, nu)[0]
         l2, l3 = lambda_linear_solve_n1(z1, kappa, nu)
-        st = bethe.lambda_from_roots([z1], reduced(kappa, nu), 1)
+        st = lambda_from_roots([z1], reduced(kappa, nu), 1)
         assert l2 == pytest.approx(st.lam[1], rel=1e-10)
         assert l3 == pytest.approx(st.lam[2], rel=1e-10)
         # sum rule with d = (0, 1, 1): Lambda_2 + Lambda_3 = 1
@@ -270,17 +271,33 @@ class TestExceptionalCondition:
         assert bethe.exceptional_condition_n0(0.7, 0.4) == pytest.approx(0.3)
 
     def test_f_vanishes_at_fock_confirmed_points(self):
-        # Exact eps = 2 crossings located by brute force on a weak-coupling
-        # slice; F evaluated there must change sign in a tight bracket.
-        pts = bethe.find_exceptional(
-            2, {"omega": 1.0, "omega0": 0.7, "g2": 0.1}, "g1", (0.2, 2.6),
-            grid=200, n_max=140)
-        assert len(pts) >= 3
-        for pt in pts:
-            assert pt.verified
-            assert pt.verified_gap < 1e-7
-            assert abs(pt.epsilon_at_crossing - 2) < 1e-6
-            assert pt.solution.residual_max < 1e-10
+        # Points found by the Heine-Stieltjes scan on a weak-coupling slice,
+        # each Fock-confirmed. The paper's Lambda-form conditions must vanish
+        # there: F changes sign in a tight bracket around every n >= 2 point
+        # (all lie away from its kappa = nu pole), and the n = 1 condition
+        # vanishes on one closed-form branch.
+        fixed = {"omega": 1.0, "omega0": 0.7, "g2": 0.1}
+        counts = {}
+        for n in range(1, 9):
+            pts = bethe.find_exceptional(n, fixed, "g1", (0.2, 2.6), grid=200, n_max=140)
+            counts[n] = len(pts)
+            for pt in pts:
+                assert pt.verified
+                assert pt.verified_gap < 1e-7
+                assert abs(pt.epsilon_at_crossing - n) < 1e-6
+                assert pt.solution.residual_max < 1e-10
+                r = pt.reduced
+                if n == 1:
+                    assert min(abs(bethe.exceptional_condition_n1(r.kappa, r.nu, r.delta, b))
+                               for b in (0, 1)) < 1e-10
+                    continue
+                assert abs(r.kappa - r.nu) > 1e-3
+                g1, h = pt.params.g1, 1e-6 * pt.params.g1
+                lo, hi = (reduce(ModelParams(1.0, 0.7, g, 0.1)) for g in (g1 - h, g1 + h))
+                f_lo = bethe.exceptional_condition(n, lo.kappa, lo.nu, lo.delta)
+                f_hi = bethe.exceptional_condition(n, hi.kappa, hi.nu, hi.delta)
+                assert f_lo * f_hi < 0, (n, g1)
+        assert counts == {1: 3, 2: 3, 3: 3, 4: 4, 5: 4, 6: 5, 7: 5, 8: 6}
 
     def test_n1_both_conditions_needed(self):
         # A zero of the first condition alone is not exceptional; verification
@@ -295,7 +312,58 @@ class TestExceptionalCondition:
         assert abs(ra) < 1e-10
         assert abs(rb) > 1e-2
         r = reduce(invert(kappa, nu, d0, 1.0))
-        assert bethe._bethe_side_solution(1, r, 1) is None
+        assert not bethe._has_null_vector(1, r)
+
+
+def _apply_hs(levels, strengths, nu, v, chi):
+    """A chi'' - B chi' - V chi by polynomial arithmetic, ascending coefficients."""
+    P = np.polynomial.Polynomial
+    a = P.fromroots(levels)
+    b = 2 * nu * a
+    for s, w in enumerate(strengths):
+        b = b + w * P.fromroots([e for t, e in enumerate(levels) if t != s])
+    x = P(chi)
+    return (a * x.deriv(2) - b * x.deriv(1) - P(v) * x).coef
+
+
+class TestHeineStieltjesOperator:
+    def test_matches_polynomial_application(self):
+        rng = np.random.default_rng(41)
+        for _ in range(60):
+            n_levels = int(rng.integers(2, 4))
+            levels = tuple(float(x) for x in rng.uniform(-2, 2, n_levels))
+            strengths = tuple(float(x) for x in rng.uniform(-1, 6, n_levels))
+            nu = float(rng.uniform(0.1, 1.5))
+            v = tuple(float(x) for x in rng.normal(0, 2, n_levels))
+            n = int(rng.integers(0, 9))
+            chi = rng.normal(0, 1, n + 1)
+            op = np.array(bethe._hs_operator(levels, strengths, nu, v, n))
+            assert op.shape == (n + n_levels, n + 1)
+            want = np.zeros(n + n_levels)
+            got = _apply_hs(levels, strengths, nu, v, chi)
+            want[: len(got)] = got
+            assert np.allclose(op @ chi, want, rtol=1e-12, atol=1e-10)
+
+    def test_top_row_vanishes_at_integer_energy(self):
+        rng = np.random.default_rng(42)
+        for _ in range(40):
+            n = int(rng.integers(0, 13))
+            r = reduce(ModelParams(1.0, *(float(x) for x in rng.uniform(0.1, 2.0, 3))))
+            op = bethe._exceptional_operator(n, r)
+            assert len(op) == n + 3
+            assert op[-1] == [0.0] * (n + 1)
+            nu = r.nu
+            rabi = bethe._hs_operator((nu, -nu), (float(n), n + 1.0), nu, (0.3, -2 * nu * n), n)
+            assert rabi[-1] == [0.0] * (n + 1)
+
+    def test_null_vector_is_chi_of_exceptional_roots(self):
+        pts = bethe.find_exceptional(
+            3, {"omega": 1.0, "omega0": 0.7, "g2": 0.1}, "g1", (0.2, 1.2), grid=100)
+        assert len(pts) == 2
+        for pt in pts:
+            op = np.array(bethe._exceptional_operator(3, pt.reduced))
+            chi = np.poly(pt.solution.roots)[::-1].real
+            assert np.linalg.norm(op @ chi) < 1e-9 * np.linalg.norm(op) * np.linalg.norm(chi)
 
 
 class TestFindExceptional:
@@ -322,6 +390,43 @@ class TestFindExceptional:
     def test_bad_free_param(self):
         with pytest.raises(ValueError):
             bethe.find_exceptional(0, {"omega": 1.0}, "g1", (0.1, 1.0))
+
+    def test_n8_point_near_kappa_eq_nu_verified(self):
+        # 0.02 from kappa = nu, where the Lambda-form recovery failed and the
+        # point was dropped; the null vector of the operator recovers it.
+        pts = bethe.find_exceptional(
+            8, {"omega": 1.0, "omega0": 0.7, "g2": 0.1}, "g1", (1.1, 1.35))
+        assert [round(pt.params.g1, 6) for pt in pts] == [1.223668]
+        pt = pts[0]
+        assert pt.verified
+        assert abs(pt.reduced.kappa - pt.reduced.nu) < 0.025
+        assert pt.solution.residual_max < 1e-10
+
+
+class TestCompleteness:
+    # (g2, N) -> g1 of each parity-resolved Fock crossing that the scan misses:
+    # - g2 = 0.1, N = 3: a zero of the row-0 terminal that has no null vector
+    #   lies in the same grid cell as the point, so the cell shows no sign change;
+    # - g2 = 0.2, N = 4: the first grid cell starts on the Rabi line g1 = g2,
+    #   where kappa is undefined, so the cell has no finite end to bracket.
+    EXPECTED_MISSES = {(0.1, 3): [1.4416], (0.2, 4): [0.2050]}
+
+    def test_points_match_parity_crossings(self):
+        cell = (4.0 - 0.2) / 399
+        for g2 in (0.1, 0.2):
+            fock_x = parity_crossings(lambda g1: ModelParams(1.0, 0.7, g1, g2),
+                                      np.linspace(0.2, 4.0, 300), 10)
+            assert -1 not in fock_x
+            for n in range(11):
+                pts = bethe.find_exceptional(n, {"omega": 1.0, "omega0": 0.7, "g2": g2},
+                                             "g1", (0.2, 4.0))
+                found = [pt.params.g1 for pt in pts]
+                assert all(pt.verified for pt in pts)
+                for g in found:
+                    assert min(abs(g - x) for x in fock_x[n]) < 1.5 * cell, (g2, n, g)
+                missed = [round(x, 4) for x in fock_x[n]
+                          if not any(abs(g - x) < 1.5 * cell for g in found)]
+                assert missed == self.EXPECTED_MISSES.get((g2, n), []), (g2, n)
 
 
 class TestBranches:
@@ -370,6 +475,22 @@ class TestBranches:
         for (n, kappa, nu) in [(2, 0.5, 0.45), (3, 0.4, 0.35), (4, 0.25, 0.4)]:
             sols = bethe.branch_Z(n, kappa, nu, extra_starts=300)
             assert 1 <= len(sols) <= 2 * n
+
+
+class TestPartitionStarts:
+    def test_stieltjes_group_roots_solve_the_flipped_pair_sign(self):
+        # The code solves sum_{j!=i} 2/(w_i - w_j) + sum_s a_s/(w_i - p_s) = 0,
+        # the Bethe equations (pair term 2/(w_j - w_i), nu = 0) with the
+        # strengths negated; with the Bethe sign the residual is O(1).
+        cases = [((1.0, -1.0), (n - 1.0, float(n)), q) for n, q in ((3, 2), (4, 2), (5, 3))]
+        cases += [((0.0, kappa), (2.0 * n - 1 - 2 * q, 1.0), n - q)
+                  for n, q, kappa in ((3, 0, 0.4), (4, 1, 0.3), (5, 2, 0.1))]
+        for poles, strengths, degree in cases:
+            w = bethe._stieltjes_group_roots(poles, strengths, degree)
+            assert len(w) == degree
+            flipped = bae_residual_loop(w, poles, [-a for a in strengths], 0.0)
+            assert np.max(np.abs(flipped)) < 1e-10
+            assert np.max(np.abs(bae_residual_loop(w, poles, strengths, 0.0))) > 1.0
 
 
 class TestAsymptotics:
@@ -423,6 +544,16 @@ class TestRabiLine:
         assert abs(pt.epsilon_at_crossing - 2) < 1e-6
         res = bethe.residual_bae_rabi(pt.solution.roots, pt.reduced.nu, 2.0)
         assert np.max(np.abs(res)) < 1e-10
+
+    def test_juddian_points_near_the_jc_end_verified(self):
+        # The two lowest-g points at n = 6, 7 were left unverified when the
+        # rapidities came from power sums; the null vector recovers them.
+        for n, g in ((6, 0.158166), (7, 0.148558)):
+            pts = bethe.rabi_exceptional(n, 1.0, 0.7, (0.05, 1.0))
+            pt = min(pts, key=lambda q: q.params.g1)
+            assert round(pt.params.g1, 6) == g
+            assert pt.verified, pt.message
+            assert pt.solution.residual_max < 1e-10
 
     def test_zero_on_grid_point_reported_once(self):
         # at delta = 0 the n = 0 condition 1 - 4 g^2 is exactly 0 on the
