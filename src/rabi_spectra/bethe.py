@@ -9,12 +9,14 @@ of degeneracies d_s = (n-1, n, 1):
 
 Equivalently chi is a null vector of the Bargmann ODE on the monomials
 z^0..z^n (`_hs_operator`, the Heine-Stieltjes form): exceptional points are
-located and solved through it for every n. The paper's Lambda form stays
-available: Lambda_j = (1/2nu) sum_k 1/(eps_j - z_k) closes into a quadratic
-equation plus a derivative hierarchy; with the two integer-energy conditions
-fixing (Z1, Z2) this gives a single scalar condition F(kappa, nu, delta)
-whose zeros are the exceptional surfaces, and the closed system gives the
-root branches of `branch_Z`. Scaled derivatives are used throughout:
+located through it for every n, and every rapidity set is recovered from its
+null vector. The paper's Lambda form stays available:
+Lambda_j = (1/2nu) sum_k 1/(eps_j - z_k) closes into a quadratic equation
+plus a derivative hierarchy; with the two integer-energy conditions fixing
+(Z1, Z2) this gives a single scalar condition F(kappa, nu, delta) whose
+zeros are the exceptional surfaces, and at fixed (n, kappa, nu) the closed
+system locates the (Z1, Z2) of the root branches of `branch_Z`. Scaled
+derivatives are used throughout:
 
     Lambda_j^(l) = (-1)^l l! / (2nu)^(l+1) * sum_k (eps_j - z_k)^(-(l+1)),
 
@@ -27,7 +29,7 @@ with degeneracies (n, n+1) at fixed eps = n + 1 handles the Juddian points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import mul
 from typing import Callable, Sequence
 
@@ -432,63 +434,6 @@ def exceptional_condition(n: int, kappa: float, nu: float, delta: float) -> floa
     return _hierarchy_closure(0, lam, levels, degeneracies, nu)
 
 
-def power_sums_from_lambda(
-    n: int,
-    Z1: float,
-    Z2: float,
-    lam: Sequence[float],
-    levels: Sequence[float],
-    degeneracies: Sequence[float],
-    nu: float,
-) -> list[float]:
-    """Power sums Z_0..Z_n of the rapidities from the Lambda data.
-
-    Z_{k} follows from summing z_i^k times the Richardson equations, which
-    telescope into a recursion in the lower power sums; this seeds the
-    polynomial whose roots initialize Newton refinement.
-    """
-    zs = [float(n), Z1, Z2][: n + 1]
-    d = np.asarray(degeneracies, dtype=float)
-    e = np.asarray(levels, dtype=float)
-    lm = np.asarray(lam, dtype=float)
-    for k in range(len(zs), n + 1):
-        conv = sum(zs[a] * zs[k - 1 - a] for a in range(k))
-        pole = sum(
-            d[s] * sum(zs[a] * e[s] ** (k - 1 - a) for a in range(k))
-            for s in range(len(e))
-        )
-        zk = float(np.dot(d * lm, e ** k)) + (conv - k * zs[k - 1] - pole) / (2 * nu)
-        zs.append(zk)
-    return zs
-
-
-def roots_from_power_sums(power_sums: Sequence[float]) -> np.ndarray:
-    """Monic-polynomial roots from Z_0..Z_n via Newton's identities."""
-    n = int(round(power_sums[0]))
-    if n == 0:
-        return np.zeros(0, dtype=complex)
-    elem = [1.0]
-    for k in range(1, n + 1):
-        ek = sum((-1) ** (i - 1) * elem[k - i] * power_sums[i] for i in range(1, k + 1)) / k
-        elem.append(ek)
-    coeffs = [(-1) ** k * elem[k] for k in range(n + 1)]
-    return np.roots(coeffs)
-
-
-def _polished_roots(
-    n: int, Z1: float, Z2: float, lam: Sequence[float],
-    levels: Sequence[float], strengths: Sequence[float], nu: float,
-) -> np.ndarray | None:
-    """Rapidities from the Lambda data: power sums, their polynomial's roots,
-    then Newton on the Bethe equations. None if any step fails."""
-    try:
-        start = roots_from_power_sums(
-            power_sums_from_lambda(n, Z1, Z2, lam, levels, strengths, nu))
-    except (ValueError, OverflowError):
-        return None
-    return _newton_bae(start, levels, strengths, nu)
-
-
 # ---------------------------------------------------------------------------
 # The Heine-Stieltjes operator: chi as a null vector
 # ---------------------------------------------------------------------------
@@ -537,6 +482,20 @@ def _exceptional_operator(n: int, r: ReducedParams) -> list[list[float]]:
     d0, d1, d2 = _d_coefficients(r, float(n))
     return _hs_operator((r.nu, -r.nu, r.kappa), (n - 1.0, float(n), 1.0), r.nu,
                         (-d0, -d1, -d2), n)
+
+
+def _branch_operator(n: int, kappa: float, nu: float, Z1: float, Z2: float) -> list[list[float]]:
+    """`_hs_operator` at fixed (n, kappa, nu), n >= 2: levels (nu, -nu, kappa),
+    strengths (n-1, n, 1) and V = v0 + v1 z - 2 nu n z^2. The top coefficients
+    of chi are 1, -Z1 and (Z1^2 - Z2)/2; v1 and v0 are chosen so that the rows
+    of degree n + 1 and n vanish on them, and the top row is identically 0."""
+    levels, strengths = (nu, -nu, kappa), (n - 1.0, float(n), 1.0)
+    v2 = -2 * nu * n
+    op = _hs_operator(levels, strengths, nu, (0.0, 0.0, v2), n)
+    c1, c2 = -Z1, (Z1 * Z1 - Z2) / 2
+    v1 = op[n + 1][n] + op[n + 1][n - 1] * c1
+    v0 = op[n][n] + op[n][n - 1] * c1 + op[n][n - 2] * c2 - v1 * c1
+    return _hs_operator(levels, strengths, nu, (v0, v1, v2), n)
 
 
 def _row0_terminal(op: list[list[float]]) -> float:
@@ -719,27 +678,14 @@ def _stieltjes_group_roots(
     2/(w_j - w_i)): the partition starts are built from this flipped problem.
     The polynomial solves A(z) y'' + B(z) y' = lam y with A = prod(z - p_s),
     B = sum_s a_s prod_{t != s}(z - p_t); solutions are nullspace vectors of
-    the operator restricted to degree <= q.
+    the operator restricted to degree <= q: `_hs_operator` with the strengths
+    negated, nu = 0 and V = lam, whose top row is identically 0.
     """
     q = degree
     if q == 0:
         return np.zeros(0)
-    p0, p1 = poles
-    a0, a1 = strengths
-    dim = q + 1
-    op = np.zeros((dim, dim))
-    # A y'' with A = (z - p0)(z - p1) = z^2 - (p0+p1) z + p0 p1
-    for k in range(2, dim):
-        c = k * (k - 1)
-        op[k, k] += c                       # z^2 * z^{k-2}
-        op[k - 1, k] += -(p0 + p1) * c
-        op[k - 2, k] += p0 * p1 * c
-    # B y' with B = a0 (z - p1) + a1 (z - p0)
-    for k in range(1, dim):
-        op[k, k] += (a0 + a1) * k
-        op[k - 1, k] += -(a0 * p1 + a1 * p0) * k
-    lam = q * (q - 1) + q * (a0 + a1)
-    m = op - lam * np.eye(dim)
+    lam = q * (q - 1) + q * sum(strengths)
+    m = np.array(_hs_operator(poles, [-a for a in strengths], 0.0, (lam,), q)[:-1])
     _, s, vt = np.linalg.svd(m)
     if s[-1] > 1e-8 * max(1.0, s[0]):
         return None
@@ -887,10 +833,11 @@ def branch_Z(
 ) -> list[BetheSolution]:
     """All distinct Bethe-root branches (Z1, Z2) at fixed (n, kappa, nu).
 
-    Solves the closed Lambda system in the (Z1, Z2) plane by multistart
-    Newton (seeds from the nu -> 0 scale-partition asymptotics plus a random
-    cloud), then recovers and polishes the rapidities of each distinct
-    converged (Z1, Z2); only root sets that solve the Bethe equations survive.
+    The closed Lambda system locates (Z1, Z2) by multistart Newton in that
+    plane (seeds from the nu -> 0 scale-partition asymptotics plus a random
+    cloud). The rapidities of each distinct converged (Z1, Z2) are the roots
+    of the null vector of `_branch_operator`, polished by Newton on the
+    Bethe equations; only root sets that solve them survive.
     """
     if n < 1:
         raise ValueError("branch_Z needs n >= 1")
@@ -921,27 +868,24 @@ def branch_Z(
         if z_key in tried:
             continue
         tried.add(z_key)
-        lam = lambda_linear_solve(Z1, Z2, n, kappa, nu)
-        z = _polished_roots(n, Z1, Z2, lam, levels, strengths, nu)
-        if z is None:
+        sol = _null_vector_solution(_branch_operator(n, kappa, nu, Z1, Z2),
+                                    levels, strengths, nu)
+        if sol is None:
             continue
         try:
-            _check_poles(z, levels)
+            _check_poles(sol.roots, levels)
         except PoleCollision:
             continue
-        if not _is_conjugate_closed(z):
+        if not _is_conjugate_closed(sol.roots):
             continue
-        key = _dedupe_key(z)
-        if key in found:
+        key = _dedupe_key(sol.roots)
+        if key in found or sol.residual_max > BETHE_TOL * 10:
             continue
-        res = np.max(np.abs(_bae_residual(z, levels, strengths, nu)))
-        if res > BETHE_TOL * 10:
-            continue
-        found[key] = (float(np.sum(z).real), float(np.sum(z ** 2).real), z, float(res))
+        found[key] = sol
     # Sorted by (Z1, Z2): the all-diverging (ground) branch, most negative Z1, first.
-    ordered = sorted(found.values(), key=lambda t: t[:2])
-    return [BetheSolution(n, z, Z1, Z2, res, "ground" if i == 0 else f"b{i}")
-            for i, (Z1, Z2, z, res) in enumerate(ordered)]
+    ordered = sorted(found.values(), key=lambda s: (s.Z1, s.Z2))
+    return [replace(s, branch_id="ground" if i == 0 else f"b{i}")
+            for i, s in enumerate(ordered)]
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -29,6 +30,8 @@ from .core import ModelParams, reduce
 MODES = ("spectrum-scan", "exceptional", "crossing-count", "weak-compare",
          "strong-compare", "rabi-markers")
 AXES = ("g1", "g2", "omega0")
+# modes that solve for the lowest n_keep levels at each grid point
+LEVEL_MODES = ("spectrum-scan", "weak-compare", "strong-compare")
 
 
 class ConfigError(ValueError):
@@ -63,6 +66,12 @@ class ScanConfig:
     threads: int = 0                # 0 -> hardware count / env fallback
 
     def validate(self) -> None:
+        for f in fields(self):
+            want = str if f.default is MISSING else type(f.default)
+            v = getattr(self, f.name)
+            kind = {float: numbers.Real, int: numbers.Integral}.get(want, want)
+            if not isinstance(v, kind) or (want is not bool and isinstance(v, bool)):
+                raise ConfigError(f"{f.name} must be of type {want.__name__}, got {v!r}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.axis not in AXES:
@@ -75,6 +84,14 @@ class ScanConfig:
             raise ConfigError("omega must be positive")
         if self.n_max < 1:
             raise ConfigError("n_max must be >= 1")
+        if self.g1 < 0 or self.g2 < 0:
+            raise ConfigError("couplings g1, g2 must be >= 0")
+        if self.axis != "omega0" and min(self.start, self.stop) < 0:
+            raise ConfigError(f"the {self.axis} grid must lie in {self.axis} >= 0")
+        if self.n < 0:
+            raise ConfigError("n must be >= 0")
+        if self.mode in LEVEL_MODES and not 1 <= self.n_keep <= 2 * (self.n_max + 1):
+            raise ConfigError(f"n_keep must be in [1, {2 * (self.n_max + 1)}] (two per Fock level)")
         if self.approx not in ("adiabatic", "squeezed"):
             raise ConfigError("approx must be adiabatic or squeezed")
 

@@ -235,33 +235,6 @@ class TestHierarchyClosure:
                     assert bethe.exceptional_condition(n, kappa, nu, delta) == want
 
 
-class TestPowerSums:
-    def test_round_trip_conjugate_closed(self):
-        rng = np.random.default_rng(24)
-        for _ in range(50):
-            n_pairs = int(rng.integers(0, 3))
-            n_real = int(rng.integers(1, 4))
-            re = rng.uniform(-3, 3, n_pairs)
-            im = rng.uniform(0.1, 2, n_pairs)
-            zr = rng.uniform(-3, 3, n_real)
-            roots = np.concatenate([re + 1j * im, re - 1j * im, zr])
-            n = len(roots)
-            ps = [float(n)] + [float(np.sum(roots ** k).real) for k in range(1, n + 1)]
-            rec = bethe.roots_from_power_sums(ps)
-            assert np.allclose(np.sort_complex(rec), np.sort_complex(roots), atol=1e-8)
-
-    def test_power_sums_consistent_with_branches(self, branch_solutions):
-        for n, kappa, nu, s in branch_solutions:
-            if n < 2:
-                continue
-            lam = bethe.lambda_linear_solve(s.Z1, s.Z2, n, kappa, nu)
-            zs = bethe.power_sums_from_lambda(
-                n, s.Z1, s.Z2, lam, (nu, -nu, kappa), (n - 1.0, float(n), 1.0), nu)
-            for k in range(n + 1):
-                want = float(np.sum(s.roots ** k).real)
-                assert zs[k] == pytest.approx(want, rel=1e-8, abs=1e-7)
-
-
 class TestExceptionalCondition:
     def test_degenerate_error(self):
         with pytest.raises(bethe.Degenerate):
@@ -360,9 +333,19 @@ class TestHeineStieltjesOperator:
         pts = bethe.find_exceptional(
             3, {"omega": 1.0, "omega0": 0.7, "g2": 0.1}, "g1", (0.2, 1.2), grid=100)
         assert len(pts) == 2
-        for pt in pts:
-            op = np.array(bethe._exceptional_operator(3, pt.reduced))
-            chi = np.poly(pt.solution.roots)[::-1].real
+        cases = [(bethe._exceptional_operator(3, pt.reduced), pt.solution) for pt in pts]
+        # branch_Z roots at fixed (n, kappa, nu), through the (Z1, Z2) operator
+        for n, kappa, nu in ((3, 0.4, 0.35), (4, 0.25, 0.4)):
+            sols = bethe.branch_Z(n, kappa, nu, extra_starts=120)
+            assert sols
+            for s in sols:
+                op = bethe._branch_operator(n, kappa, nu, s.Z1, s.Z2)
+                assert len(op) == n + 3
+                assert op[-1] == [0.0] * (n + 1)
+                cases.append((op, s))
+        for op, sol in cases:
+            op = np.array(op)
+            chi = np.poly(sol.roots)[::-1].real
             assert np.linalg.norm(op @ chi) < 1e-9 * np.linalg.norm(op) * np.linalg.norm(chi)
 
 
@@ -470,6 +453,20 @@ class TestBranches:
         assert sols
         for s in sols:
             assert s.residual_max < 1e-10
+
+    def test_n5_small_nu_branch_recovered_from_null_vector(self):
+        # The branch at (-39.9625, 1605.006) has a root 0.02 from the nearest
+        # pole; the rapidities of the Lambda power sums missed it, the
+        # operator's null vector recovers it.
+        a1, a2 = bethe.asymptotic_Z(5, 0.1, 0.025)
+        sols = bethe.branch_Z(5, 0.1, 0.025, extra_starts=150)
+        assert len(sols) == 5
+        assert all(s.residual_max < 1e-10 for s in sols)
+        assert sum(abs(s.Z1 + 39.9625) < 1e-3 and abs(s.Z2 - 1605.006) < 1e-2
+                   for s in sols) == 1
+        assert sols[0].branch_id == "ground"
+        assert abs(sols[0].Z1 - a1) / abs(sols[0].Z1) < 1e-2
+        assert abs(sols[0].Z2 - a2) / abs(sols[0].Z2) < 1e-2
 
     def test_branch_count_at_most_2n(self):
         for (n, kappa, nu) in [(2, 0.5, 0.45), (3, 0.4, 0.35), (4, 0.25, 0.4)]:

@@ -148,6 +148,19 @@ def test_config_errors_exit_2(capsys, tmp_path):
     code, _ = run_cli([
         "--mode", "exceptional", "--free", "g1", "--g1-range", "0:1:3"], capsys)
     assert code == 2  # free parameter equals the grid axis
+    for argv in (
+        ["--mode", "spectrum-scan", "--g1-range", "0:1:3", "--n-keep", "0"],
+        ["--mode", "spectrum-scan", "--g1-range", "0:1:3", "--n-keep", "13", "--n-max", "5"],
+        ["--mode", "weak-compare", "--g1-range", "0:1:3", "--g2", "-0.1"],
+        ["--mode", "spectrum-scan", "--g1-range=-0.5:1:3"],
+        ["--mode", "exceptional", "--n", "-1", "--g2-range", "0:1:3"],
+        ["--mode", "rabi-markers", "--n", "-2", "--g-range", "0.1:1:2"],
+    ):
+        code, out = run_cli(argv, capsys)
+        assert (code, out) == (2, ""), argv
+    bad.write_text(json.dumps({"mode": "spectrum-scan", "count": "5"}))
+    code, _ = run_cli(["--config", str(bad)], capsys)
+    assert code == 2  # field of the wrong type
 
 
 def test_weak_compare_columns(capsys):
