@@ -10,13 +10,15 @@ of degeneracies d_s = (n-1, n, 1):
 Equivalently chi is a null vector of the Bargmann ODE on the monomials
 z^0..z^n (`_hs_operator`, the Heine-Stieltjes form): exceptional points are
 located through it for every n, and every rapidity set is recovered from its
-null vector. The paper's Lambda form stays available:
-Lambda_j = (1/2nu) sum_k 1/(eps_j - z_k) closes into a quadratic equation
-plus a derivative hierarchy; with the two integer-energy conditions fixing
-(Z1, Z2) this gives a single scalar condition F(kappa, nu, delta) whose
-zeros are the exceptional surfaces, and at fixed (n, kappa, nu) the closed
-system locates the (Z1, Z2) of the root branches of `branch_Z`. Scaled
-derivatives are used throughout:
+null vector. At fixed (n, kappa, nu) the free coefficients (v0, v1) of its
+potential are the eigenvalues of a rectangular two-parameter eigenproblem,
+which gives every root branch of `branch_Z`. The paper's Lambda form stays
+available: Lambda_j = (1/2nu) sum_k 1/(eps_j - z_k) closes into a quadratic
+equation plus a derivative hierarchy; with the two integer-energy conditions
+fixing (Z1, Z2) this gives a single scalar condition F(kappa, nu, delta)
+whose zeros are the exceptional surfaces, and at fixed (n, kappa, nu) the
+closed system is `branch_Z`'s opt-in multistart cross-check (extra_starts).
+Scaled derivatives are used throughout:
 
     Lambda_j^(l) = (-1)^l l! / (2nu)^(l+1) * sum_k (eps_j - z_k)^(-(l+1)),
 
@@ -34,11 +36,11 @@ from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.linalg import eig
 from scipy.optimize import brentq
 
 from . import fock
 from .core import ModelParams, ReducedParams, reduce
-from .special import genlaguerre_roots
 
 PARAM_TOL = 1e-10
 BETHE_TOL = 1e-10
@@ -668,69 +670,6 @@ def asymptotic_Z(n: int, kappa: float, nu: float) -> tuple[float, float]:
     return z1, z2
 
 
-def _stieltjes_group_roots(
-    poles: Sequence[float], strengths: Sequence[float], degree: int
-) -> np.ndarray | None:
-    """Roots of the degree-q polynomial solution of the two-pole Stieltjes
-    problem sum_{j!=i} 2/(w_i - w_j) + sum_s a_s/(w_i - p_s) = 0.
-
-    The pair sign is opposite to the Bethe equations (whose pair term is
-    2/(w_j - w_i)): the partition starts are built from this flipped problem.
-    The polynomial solves A(z) y'' + B(z) y' = lam y with A = prod(z - p_s),
-    B = sum_s a_s prod_{t != s}(z - p_t); solutions are nullspace vectors of
-    the operator restricted to degree <= q: `_hs_operator` with the strengths
-    negated, nu = 0 and V = lam, whose top row is identically 0.
-    """
-    q = degree
-    if q == 0:
-        return np.zeros(0)
-    lam = q * (q - 1) + q * sum(strengths)
-    m = np.array(_hs_operator(poles, [-a for a in strengths], 0.0, (lam,), q)[:-1])
-    _, s, vt = np.linalg.svd(m)
-    if s[-1] > 1e-8 * max(1.0, s[0]):
-        return None
-    coeffs = vt[-1]
-    if abs(coeffs[-1]) < 1e-10:
-        return None
-    return np.roots(coeffs[::-1])
-
-
-def _partition_starts(n: int, kappa: float, nu: float) -> list[tuple[str, np.ndarray]]:
-    """Leading-order root configurations at small nu, one per scale partition.
-
-    p rapidities diverge like Laguerre roots / (2 nu), q shrink like nu times
-    Jacobi-type roots, and the rest sit at O(1) near the kappa pole.
-    """
-    starts: list[tuple[str, np.ndarray]] = []
-    for p_div in range(n + 1):
-        for q in range(n - p_div + 1):
-            m1 = n - p_div - q
-            groups = []
-            ok = True
-            if p_div:
-                u = genlaguerre_roots(p_div, -2 * p_div - 1)
-                groups.append(u / (2 * nu) + (kappa * nu - nu * nu) / (2 * n))
-            if q:
-                x = _stieltjes_group_roots((1.0, -1.0), (n - 1.0, float(n)), q)
-                if x is None or np.min(np.abs(np.abs(x) - 1.0)) < 1e-6:
-                    ok = False
-                else:
-                    groups.append(nu * x)
-            if m1 and ok:
-                w = _stieltjes_group_roots((0.0, kappa), (2.0 * n - 1.0 - 2 * q, 1.0), m1)
-                if w is None or np.min(np.abs(w - kappa)) < 1e-8 or np.min(np.abs(w)) < 1e-8:
-                    ok = False
-                else:
-                    groups.append(w)
-            if not ok:
-                continue
-            z = np.concatenate(groups) if groups else np.zeros(0)
-            if len(z) != n:
-                continue
-            starts.append((f"p{p_div}q{q}m{m1}", z.astype(complex)))
-    return starts
-
-
 def _dedupe_key(z: np.ndarray) -> tuple:
     return tuple(sorted((round(c.real, 6), round(abs(c.imag), 6)) for c in z))
 
@@ -809,53 +748,77 @@ def _newton_2d(
 def _z_start_candidates(
     n: int, kappa: float, nu: float, extra: int, seed: int
 ) -> list[tuple[float, float]]:
-    """(Z1, Z2) seeds: scale-partition asymptotics plus a coarse random cloud."""
-    cands: list[tuple[float, float]] = []
-    for _, z in _partition_starts(n, kappa, nu):
-        Z1, Z2 = np.sum(z), np.sum(z * z)
-        if abs(Z1.imag) < 1e-9 * max(1.0, abs(Z1)) and abs(Z2.imag) < 1e-9 * max(1.0, abs(Z2)):
-            cands.append((float(Z1.real), float(Z2.real)))
+    """(Z1, Z2) seeds of the closed-system cross-check: a coarse random cloud."""
     rng = np.random.default_rng(seed)
     s1 = n * (n + 1) / (2 * nu)
-    for _ in range(extra):
-        z1 = rng.uniform(-1.2 * s1, 0.5 * s1)
-        z2 = rng.uniform(-0.5 * s1, 1.2 * s1 ** 2 / max(1, n))
-        cands.append((z1, z2))
-    return cands
+    return [(rng.uniform(-1.2 * s1, 0.5 * s1),
+             rng.uniform(-0.5 * s1, 1.2 * s1 ** 2 / max(1, n))) for _ in range(extra)]
+
+
+def _branch_eigenvalues(n: int, kappa: float, nu: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every finite (v0, v1) at which `_hs_operator` with levels (nu, -nu, kappa),
+    strengths (n-1, n, 1) and V = v0 + v1 z - 2 nu n z^2 has a null vector.
+
+    Top row dropped, the operator is A0 + v0 A1 + v1 A2, (n+2) x (n+1), with
+    A1 = -I the degree embedding and A2 = -(shift by one degree). A null
+    vector c makes x = c (x) c solve Delta1 x = v0 Delta0 x and
+    Delta2 x = v1 Delta0 x, with Atkinson's Delta0 = A1(x)A2 - A2(x)A1,
+    Delta1 = A2(x)A0 - A0(x)A2 and Delta2 = A0(x)A1 - A1(x)A0. They map
+    Sym^2(R^{n+1}) into the antisymmetric tensors of R^{n+2}, both of
+    dimension C(n+2, 2), so the v0 pencil is square; v1 is the Rayleigh
+    quotient of Delta2 x against Delta0 x.
+    """
+    a0 = np.array(_hs_operator((nu, -nu, kappa), (n - 1.0, float(n), 1.0), nu,
+                               (0.0, 0.0, -2 * nu * n), n)[:-1])
+    a1, a2 = -np.eye(n + 2, n + 1), -np.eye(n + 2, n + 1, -1)
+    i, j = np.triu_indices(n + 1)
+    sym = np.zeros(((n + 1) ** 2, len(i)))  # columns e_i (x) e_j + e_j (x) e_i
+    sym[i * (n + 1) + j, np.arange(len(i))] = 1.0
+    sym[j * (n + 1) + i, np.arange(len(i))] = 1.0
+    a, b = np.triu_indices(n + 2, 1)  # the (a, b), a < b, entries of an antisymmetric tensor
+
+    def delta(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        return (np.kron(p, q) - np.kron(q, p))[a * (n + 2) + b] @ sym
+
+    d0 = delta(a1, a2)
+    v0, x = eig(delta(a2, a0), d0)
+    finite = np.isfinite(v0)
+    u, w = d0 @ x[:, finite], delta(a0, a1) @ x[:, finite]
+    return v0[finite], np.sum(u.conj() * w, axis=0) / np.sum(u.conj() * u, axis=0)
 
 
 def branch_Z(
     n: int,
     kappa: float,
     nu: float,
-    extra_starts: int = 600,
+    extra_starts: int = 0,
     seed: int = 7,
 ) -> list[BetheSolution]:
     """All distinct Bethe-root branches (Z1, Z2) at fixed (n, kappa, nu).
 
-    The closed Lambda system locates (Z1, Z2) by multistart Newton in that
-    plane (seeds from the nu -> 0 scale-partition asymptotics plus a random
-    cloud). The rapidities of each distinct converged (Z1, Z2) are the roots
-    of the null vector of `_branch_operator`, polished by Newton on the
-    Bethe equations; only root sets that solve them survive.
+    Every finite eigenvalue (v0, v1) of `_branch_eigenvalues` fixes
+    V = v0 + v1 z - 2 nu n z^2; the roots of the null vector of that
+    `_hs_operator`, polished by Newton on the Bethe equations, are kept when
+    they solve them, with no rapidity on a pole and closed under
+    conjugation. The eigenproblem gives every branch, deterministically
+    (2n of them; in the monomial basis a few can be lost from n ~ 10 at
+    small nu).
+
+    The paper's closed Lambda system is an opt-in cross-check: with
+    extra_starts > 0 (and n >= 2) multistart Newton in the (Z1, Z2) plane,
+    from a random cloud drawn with `seed`, locates branches whose operator
+    is `_branch_operator`, recovered and checked the same way.
     """
     if n < 1:
         raise ValueError("branch_Z needs n >= 1")
-    if n == 1:
-        sols = []
-        for b, z1 in enumerate(closed_form_roots_n1(kappa, nu)):
-            z = np.array([z1], dtype=complex)
-            res = np.max(np.abs(_bae_residual(z, (nu, -nu, kappa), (0.0, 1.0, 1.0), nu)))
-            sols.append(BetheSolution(1, z, z1, z1 * z1, float(res),
-                                      branch_id=f"z1{'+' if b == 0 else '-'}"))
-        return sols
     levels = (nu, -nu, kappa)
     strengths = (n - 1.0, float(n), 1.0)
+    ops = [_hs_operator(levels, strengths, nu, (v0, v1, -2 * nu * n), n)
+           for v0, v1 in zip(*_branch_eigenvalues(n, kappa, nu))]
 
     def terminals(z1: float, z2: float) -> tuple[float, float]:
         return closed_system_terminals(n, kappa, nu, z1, z2)
 
-    found: dict[tuple, tuple[float, float, np.ndarray, float]] = {}
     # Many starts converge to the same (Z1, Z2); its rapidities are recovered
     # once, whatever the outcome (a pole-collapsed point fails every time).
     tried: set[tuple[float, float]] = set()
@@ -863,13 +826,13 @@ def branch_Z(
         sol2d = _newton_2d(terminals, z1_0, z2_0)
         if sol2d is None:
             continue
-        Z1, Z2 = sol2d
-        z_key = (round(Z1, 6), round(Z2, 6))
-        if z_key in tried:
-            continue
-        tried.add(z_key)
-        sol = _null_vector_solution(_branch_operator(n, kappa, nu, Z1, Z2),
-                                    levels, strengths, nu)
+        z_key = (round(sol2d[0], 6), round(sol2d[1], 6))
+        if z_key not in tried:
+            tried.add(z_key)
+            ops.append(_branch_operator(n, kappa, nu, *sol2d))
+    found: dict[tuple, BetheSolution] = {}
+    for op in ops:
+        sol = _null_vector_solution(op, levels, strengths, nu)
         if sol is None:
             continue
         try:

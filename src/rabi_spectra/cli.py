@@ -30,6 +30,7 @@ from .core import ModelParams, reduce
 MODES = ("spectrum-scan", "exceptional", "crossing-count", "weak-compare",
          "strong-compare", "rabi-markers")
 AXES = ("g1", "g2", "omega0")
+FREE_PARAMS = ("omega", "omega0", "g1", "g2")  # exceptional mode: the searched parameter
 # modes that solve for the lowest n_keep levels at each grid point
 LEVEL_MODES = ("spectrum-scan", "weak-compare", "strong-compare")
 
@@ -94,6 +95,16 @@ class ScanConfig:
             raise ConfigError(f"n_keep must be in [1, {2 * (self.n_max + 1)}] (two per Fock level)")
         if self.approx not in ("adiabatic", "squeezed"):
             raise ConfigError("approx must be adiabatic or squeezed")
+        if self.mode == "exceptional":
+            if self.free not in FREE_PARAMS:
+                raise ConfigError(f"free must be one of {FREE_PARAMS}, got {self.free!r}")
+            if self.free == self.axis:
+                raise ConfigError("the searched parameter must differ from the grid axis")
+            lo = min(self.free_start, self.free_stop)
+            if self.free == "omega" and lo <= 0:
+                raise ConfigError("the omega search range must lie in omega > 0")
+            if self.free in ("g1", "g2") and lo < 0:
+                raise ConfigError(f"the {self.free} search range must lie in {self.free} >= 0")
 
     def as_dict(self) -> dict:
         d = dict(self.__dict__)
@@ -152,12 +163,10 @@ def run_spectrum_scan(cfg: ScanConfig) -> tuple[list[str], list[list]]:
 
 
 def run_exceptional(cfg: ScanConfig) -> tuple[list[str], list[list], bool]:
-    if cfg.free == cfg.axis:
-        raise ConfigError("the searched parameter must differ from the grid axis")
     header = [cfg.axis, cfg.free, "epsilon", "gap", "verified", "Z1", "Z2"]
     rows: list[list] = []
     all_ok = True
-    fixed_names = [a for a in ("omega", "omega0", "g1", "g2") if a != cfg.free]
+    fixed_names = [a for a in FREE_PARAMS if a != cfg.free]
     for v in _grid(cfg):
         base = {"omega": cfg.omega, "omega0": cfg.omega0, "g1": cfg.g1, "g2": cfg.g2}
         base[cfg.axis] = float(v)
@@ -328,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="rabi-markers: coupling grid start:stop:count")
     ap.add_argument("--n", type=int, default=0,
                     help="exceptional level index, or max level for counts/markers")
-    ap.add_argument("--free", choices=("omega", "omega0", "g1", "g2"), default="g1",
+    ap.add_argument("--free", choices=FREE_PARAMS, default="g1",
                     help="exceptional mode: parameter solved for")
     ap.add_argument("--free-range", default="0.001:4:2",
                     help="exceptional mode: search interval start:stop:ignored")

@@ -1,8 +1,10 @@
 """Associated Laguerre polynomials via the three-term recurrence.
 
-One audited implementation shared by the strong-coupling approximations
-(integer alpha >= -1, x >= 0) and the Bethe-root asymptotics (negative
-integer alpha, where only root sums and coefficient vectors are needed).
+One audited implementation, used by the strong-coupling approximations
+(integer alpha >= -1, x >= 0). `genlaguerre_coeffs` and `genlaguerre_roots`
+(any alpha, negative integers included) serve no other module; they stay
+public and tested, since the roots of L_n^(-1-2n), over 2 nu, are the
+nu -> 0 ground-branch rapidities behind `bethe.asymptotic_Z`.
 """
 
 from __future__ import annotations

@@ -236,7 +236,7 @@ def test_criterion_08_nu_to_zero_asymptotics():
     t0 = time.monotonic()
     rel = {}
     for nu in (0.05, 0.025):
-        sols = bethe.branch_Z(5, 0.1, nu, extra_starts=150)
+        sols = bethe.branch_Z(5, 0.1, nu)
         ground = sols[0]
         a1, a2 = bethe.asymptotic_Z(5, 0.1, nu)
         rel[nu] = max(abs(ground.Z1 - a1) / abs(ground.Z1),
@@ -325,7 +325,7 @@ def test_criterion_10_structural_invariants():
         kappa, nu = rng.uniform(0.15, 0.9, 2)
         if abs(kappa - nu) < 0.05:
             continue
-        for s in bethe.branch_Z(n, kappa, nu, extra_starts=120, seed=int(rng.integers(1e6))):
+        for s in bethe.branch_Z(n, kappa, nu):
             solutions.append((n, kappa, nu, s))
     for n, kappa, nu, s in solutions:
         lam_roots = lambda_from_roots(s.roots, reduce(invert(kappa, nu, 1.0, 1.0)), n)

@@ -118,7 +118,7 @@ def branch_solutions():
               (3, 0.15, 0.7), (2, 0.8, 0.25), (4, 0.35, 0.65), (5, 0.2, 0.45),
               (4, 0.15, 0.5), (5, 0.3, 0.35), (3, 0.55, 0.25), (4, 0.45, 0.55)]
     for n, kappa, nu in combos:
-        sols = bethe.branch_Z(n, kappa, nu, extra_starts=250)
+        sols = bethe.branch_Z(n, kappa, nu)
         out += [(n, kappa, nu, s) for s in sols]
     assert len(out) >= 100
     return out
@@ -336,7 +336,7 @@ class TestHeineStieltjesOperator:
         cases = [(bethe._exceptional_operator(3, pt.reduced), pt.solution) for pt in pts]
         # branch_Z roots at fixed (n, kappa, nu), through the (Z1, Z2) operator
         for n, kappa, nu in ((3, 0.4, 0.35), (4, 0.25, 0.4)):
-            sols = bethe.branch_Z(n, kappa, nu, extra_starts=120)
+            sols = bethe.branch_Z(n, kappa, nu)
             assert sols
             for s in sols:
                 op = bethe._branch_operator(n, kappa, nu, s.Z1, s.Z2)
@@ -421,7 +421,7 @@ class TestBranches:
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_n5_kappa01_ten_branches(self):
-        sols = bethe.branch_Z(5, 0.1, 0.3, extra_starts=600)
+        sols = bethe.branch_Z(5, 0.1, 0.3)
         assert len(sols) == 10
         for s in sols:
             assert s.residual_max < 1e-10
@@ -448,8 +448,10 @@ class TestBranches:
         monkeypatch.setattr(bethe, "_newton_2d", counting_2d)
         monkeypatch.setattr(bethe, "_newton_bae", counting_bae)
         sols = bethe.branch_Z(3, 0.4, 0.35, extra_starts=120)
+        # one recovery per finite eigenvalue and per distinct converged (Z1, Z2)
+        assert len(bethe._branch_eigenvalues(3, 0.4, 0.35)[0]) == 10
         assert len(converged) > len(set(converged))
-        assert len(bae_calls) == len(set(converged)) == 7
+        assert len(bae_calls) == 10 + len(set(converged)) == 10 + 6
         assert sols
         for s in sols:
             assert s.residual_max < 1e-10
@@ -459,8 +461,8 @@ class TestBranches:
         # pole; the rapidities of the Lambda power sums missed it, the
         # operator's null vector recovers it.
         a1, a2 = bethe.asymptotic_Z(5, 0.1, 0.025)
-        sols = bethe.branch_Z(5, 0.1, 0.025, extra_starts=150)
-        assert len(sols) == 5
+        sols = bethe.branch_Z(5, 0.1, 0.025)
+        assert len(sols) == 10
         assert all(s.residual_max < 1e-10 for s in sols)
         assert sum(abs(s.Z1 + 39.9625) < 1e-3 and abs(s.Z2 - 1605.006) < 1e-2
                    for s in sols) == 1
@@ -468,26 +470,20 @@ class TestBranches:
         assert abs(sols[0].Z1 - a1) / abs(sols[0].Z1) < 1e-2
         assert abs(sols[0].Z2 - a2) / abs(sols[0].Z2) < 1e-2
 
-    def test_branch_count_at_most_2n(self):
-        for (n, kappa, nu) in [(2, 0.5, 0.45), (3, 0.4, 0.35), (4, 0.25, 0.4)]:
-            sols = bethe.branch_Z(n, kappa, nu, extra_starts=300)
-            assert 1 <= len(sols) <= 2 * n
+    def test_branch_count_exactly_2n(self):
+        for (n, kappa, nu) in [(2, 0.5, 0.45), (3, 0.4, 0.35), (4, 0.25, 0.4), (4, 0.3, 0.2),
+                               (5, 0.1, 0.3), (2, 0.5, 0.3), (5, 0.1, 0.05), (1, 0.4, 0.35)]:
+            sols = bethe.branch_Z(n, kappa, nu)
+            assert len(sols) == 2 * n, (n, kappa, nu)
+            assert all(s.residual_max < 1e-10 for s in sols), (n, kappa, nu)
 
+    @pytest.mark.parametrize("n, kappa, nu", [(3, 0.4, 0.35), (5, 0.1, 0.3)])
+    def test_closed_system_cross_check_finds_the_same_branches(self, n, kappa, nu):
+        def keys(sols):
+            return {bethe._dedupe_key(s.roots) for s in sols}
 
-class TestPartitionStarts:
-    def test_stieltjes_group_roots_solve_the_flipped_pair_sign(self):
-        # The code solves sum_{j!=i} 2/(w_i - w_j) + sum_s a_s/(w_i - p_s) = 0,
-        # the Bethe equations (pair term 2/(w_j - w_i), nu = 0) with the
-        # strengths negated; with the Bethe sign the residual is O(1).
-        cases = [((1.0, -1.0), (n - 1.0, float(n)), q) for n, q in ((3, 2), (4, 2), (5, 3))]
-        cases += [((0.0, kappa), (2.0 * n - 1 - 2 * q, 1.0), n - q)
-                  for n, q, kappa in ((3, 0, 0.4), (4, 1, 0.3), (5, 2, 0.1))]
-        for poles, strengths, degree in cases:
-            w = bethe._stieltjes_group_roots(poles, strengths, degree)
-            assert len(w) == degree
-            flipped = bae_residual_loop(w, poles, [-a for a in strengths], 0.0)
-            assert np.max(np.abs(flipped)) < 1e-10
-            assert np.max(np.abs(bae_residual_loop(w, poles, strengths, 0.0))) > 1.0
+        assert keys(bethe.branch_Z(n, kappa, nu, extra_starts=120)) == keys(
+            bethe.branch_Z(n, kappa, nu))
 
 
 class TestAsymptotics:
@@ -500,7 +496,7 @@ class TestAsymptotics:
 
     def test_ground_branch_match(self):
         a1, a2 = bethe.asymptotic_Z(5, 0.1, 0.05)
-        sols = bethe.branch_Z(5, 0.1, 0.05, extra_starts=200)
+        sols = bethe.branch_Z(5, 0.1, 0.05)
         s = sols[0]  # ground branch: most negative Z1
         assert abs(s.Z1 - a1) / abs(s.Z1) < 1e-2
         assert abs(s.Z2 - a2) / abs(s.Z2) < 1e-2

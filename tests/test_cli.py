@@ -1,5 +1,8 @@
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,6 +164,14 @@ def test_config_errors_exit_2(capsys, tmp_path):
     bad.write_text(json.dumps({"mode": "spectrum-scan", "count": "5"}))
     code, _ = run_cli(["--config", str(bad)], capsys)
     assert code == 2  # field of the wrong type
+    for doc in (
+        {"mode": "exceptional", "free": "delta"},  # not a model parameter
+        {"mode": "exceptional", "free": "omega", "free_start": -1.0},  # omega must be > 0
+        {"mode": "exceptional", "free": "g2", "free_start": -0.5},  # g2 must be >= 0
+    ):
+        bad.write_text(json.dumps(doc))
+        code, out = run_cli(["--config", str(bad)], capsys)
+        assert (code, out) == (2, ""), doc
 
 
 def test_weak_compare_columns(capsys):
@@ -301,3 +312,22 @@ def test_rabi_markers_mode(capsys):
     rows = [line.split(",") for line in lines[2:]]
     assert any(abs(float(r[1]) - 0.7905694150) < 1e-6 for r in rows)
     assert all(int(r[3]) == 1 for r in rows)
+
+
+def _readme_commands() -> list[list[str]]:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```bash\n(.*?)```", text[text.index("## Command-line driver"):], re.S)
+    lines = block.group(1).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("rabi-spectra ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[1])
+def test_readme_commands_run(argv, tmp_path):
+    out = tmp_path / "out.csv"
+    argv = list(argv)
+    argv[argv.index("-o") + 1] = str(out)
+    assert cli.main(argv) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines[0].startswith("# {")
+    assert json.loads(lines[0][2:])["mode"] == argv[1]
+    assert lines[1].split(",")[0] in ("g1", "g2", "omega0", "n_eps")
