@@ -30,9 +30,10 @@ with degeneracies (n, n+1) at fixed eps = n + 1 handles the Juddian points.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
-from operator import mul
+from operator import add, mul
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,7 +41,7 @@ from scipy.linalg import eig
 from scipy.optimize import brentq
 
 from . import fock
-from .core import ModelParams, ReducedParams, reduce
+from .core import ModelParams, ReducedParams, reduce, reduce_grid
 
 PARAM_TOL = 1e-10
 BETHE_TOL = 1e-10
@@ -48,6 +49,10 @@ POLE_TOL = 1e-8
 # sigma_min / scale of the Heine-Stieltjes operator: <= 1.1e-11 at the points
 # of the exceptional-search lines, >= 3.5e-3 at sign changes without a null vector
 NULL_TOL = 1e-9
+# |chi| and |chi'| at a pole over the magnitude sums of their terms, at 13
+# (n, kappa, nu) with n = 1..10: <= 7e-11 for the pole-collapsed eigenvalues
+# of `_branch_eigenvalues`, >= 6.9e-3 for the Bethe branches among them
+COLLAPSE_TOL = 1e-8
 
 
 class RabiLimit(ValueError):
@@ -127,10 +132,12 @@ def _d_coefficients(r: ReducedParams, epsilon: float) -> tuple[float, float, flo
     """(d0, d1, d2) of D2; r must be off the Rabi line."""
     k, nu, dl, lp = r.kappa, r.nu, r.delta, r.lambda_plus
     e = epsilon - lp
-    d0 = k * (dl * dl - epsilon * epsilon + 2 * epsilon * lp - lp * lp + lp + nu * nu + nu ** 4) \
-        + nu * (epsilon - lp - nu * nu)
-    d1 = e * (e + 1) - dl * dl + dl * lp / r.lambda_minus + nu * k - nu * nu \
-        - 2 * nu * epsilon * k - nu ** 4
+    nu2 = nu * nu
+    nu4 = nu2 * nu2  # not nu ** 4: float pow and numpy's power can differ by an ulp
+    d0 = k * (dl * dl - epsilon * epsilon + 2 * epsilon * lp - lp * lp + lp + nu2 + nu4) \
+        + nu * (epsilon - lp - nu2)
+    d1 = e * (e + 1) - dl * dl + dl * lp / r.lambda_minus + nu * k - nu2 \
+        - 2 * nu * epsilon * k - nu4
     return d0, d1, 2 * nu * epsilon
 
 
@@ -504,12 +511,20 @@ def _row0_terminal(op: list[list[float]]) -> float:
     """Scan scalar: the degree-0 row's residual, over max |c|, after rows
     n+1 .. 2 fix c_{n-1} .. c_0 from c_n = 1 (row m through its pivot
     2 nu (n - m + 2), never 0, so the scalar is smooth). It vanishes at
-    every exceptional point, and where only the degree-1 row is violated."""
+    every exceptional point, and where only the degree-1 row is violated.
+    The entries of op may be floats or arrays over a grid alike."""
     n = len(op[0]) - 1
     c = [0.0] * n + [1.0]
     for m in range(n + 1, 1, -1):  # c[m - 2] is still 0 in the product
-        c[m - 2] = -sum(map(mul, op[m], c)) / op[m][m - 2]
-    return sum(map(mul, op[0], c)) / max(map(abs, c))
+        c[m - 2] = -_dot(op[m], c) / op[m][m - 2]
+    return _dot(op[0], c) / np.max(np.abs(c[:-1]), axis=0, initial=1.0)
+
+
+def _dot(row: list, c: list):
+    """sum(row[k] * c[k]) added left to right, for floats and arrays alike:
+    not sum(), which compensates float sums from Python 3.12 on but not
+    array sums."""
+    return functools.reduce(add, map(mul, row, c))
 
 
 def _has_null_vector(n: int, r: ReducedParams) -> bool:
@@ -520,12 +535,30 @@ def _has_null_vector(n: int, r: ReducedParams) -> bool:
     return bool(s[-1] <= NULL_TOL * max(s[0], _d_scale(r, float(n))))
 
 
-def _null_vector_solution(
-    op: list[list[float]], levels: Sequence[float], strengths: Sequence[float], nu: float,
+def _null_vector(op: list[list[float]]) -> np.ndarray:
+    """The null vector chi of op, top row dropped: ascending coefficients,
+    unit norm."""
+    return np.linalg.svd(np.array(op[:-1]))[2][-1]
+
+
+def _pole_collapsed(chi: np.ndarray, levels: Sequence[float]) -> bool:
+    """True when chi has a double root on a level: chi and chi' both vanish
+    there to COLLAPSE_TOL of the sum of the magnitudes of their terms. These
+    are the polynomial solutions the exponents at the poles allow (a double
+    root at kappa, or (z - nu)^n), never a Bethe branch."""
+    def vanishes(c: np.ndarray, zk: np.ndarray) -> bool:
+        return bool(abs(c @ zk) <= COLLAPSE_TOL * (np.abs(c) @ np.abs(zk)))
+
+    k = np.arange(len(chi))
+    dchi = k[1:] * chi[1:]
+    return any(vanishes(chi, e ** k) and vanishes(dchi, e ** k[:-1]) for e in levels)
+
+
+def _chi_solution(
+    chi: np.ndarray, levels: Sequence[float], strengths: Sequence[float], nu: float,
 ) -> BetheSolution | None:
-    """The roots of the null vector chi of op (top row dropped), polished by
-    Newton on the Bethe equations; None if Newton does not converge."""
-    chi = np.linalg.svd(np.array(op[:-1]))[2][-1]
+    """The roots of chi (`_null_vector`), polished by Newton on the Bethe
+    equations; None if Newton does not converge."""
     z = _newton_bae(np.roots(chi[::-1]), levels, strengths, nu)
     if z is None:
         return None
@@ -536,8 +569,8 @@ def _null_vector_solution(
 
 def _recover_solution(n: int, r: ReducedParams) -> BetheSolution | None:
     """Rapidities at an exceptional point at eps = n, or None."""
-    return _null_vector_solution(_exceptional_operator(n, r), (r.nu, -r.nu, r.kappa),
-                                 (n - 1.0, float(n), 1.0), r.nu)
+    return _chi_solution(_null_vector(_exceptional_operator(n, r)), (r.nu, -r.nu, r.kappa),
+                         (n - 1.0, float(n), 1.0), r.nu)
 
 
 # ---------------------------------------------------------------------------
@@ -590,12 +623,39 @@ def _verify_point(
     )
 
 
-def _grid_roots(f: Callable[[float], float], ts: np.ndarray) -> list[float]:
+def _scan_domain(r: ReducedParams):
+    """Where `find_exceptional` scans, for float or array fields alike:
+    nu > 0 and lambda- off the Rabi line by more than 1e-6 lambda+ (False
+    on the Rabi line, and wherever a field is NaN)."""
+    return (r.nu > 0) & (abs(r.lambda_minus) >= 1e-6 * r.lambda_plus)
+
+
+def _scan_point(n: int, fixed: dict, free: str, t: float) -> float:
+    """`find_exceptional`'s scan scalar, `_row0_terminal` of the exceptional
+    operator, at free = t; NaN for invalid parameters or off `_scan_domain`."""
+    try:
+        r = reduce(_params_with(fixed, free, float(t)))
+    except ValueError:
+        return math.nan
+    if not _scan_domain(r):
+        return math.nan
+    return _row0_terminal(_exceptional_operator(n, r))
+
+
+def _scan_grid(n: int, fixed: dict, free: str, ts: np.ndarray) -> np.ndarray:
+    """`_scan_point` at every ts in one pass: the same functions on arrays of
+    the reduced parameters, equal to the per-point values bit for bit."""
+    r = reduce_grid(**{**fixed, free: ts})
+    with np.errstate(all="ignore"):
+        return np.where(_scan_domain(r), _row0_terminal(_exceptional_operator(n, r)), np.nan)
+
+
+def _grid_roots(f: Callable[[float], float], ts: np.ndarray, vals: np.ndarray) -> list[float]:
     """Zeros of f, ascending: brentq to PARAM_TOL on each grid cell whose
-    ends are finite with a sign change. A zero exactly on a grid point ends
-    two cells, and brentq returns that point for both; it is reported once.
+    ends (vals = f at ts) are finite with a sign change. A zero exactly on a
+    grid point ends two cells, and brentq returns that point for both; it
+    is reported once.
     """
-    vals = np.array([f(t) for t in ts])
     roots: list[float] = []
     for i in range(len(ts) - 1):
         a, b = vals[i], vals[i + 1]
@@ -623,8 +683,11 @@ def find_exceptional(
     """Exceptional points at eps = n along a scan of one model parameter.
 
     `fixed` holds three of {omega, omega0, g1, g2}; `free` names the fourth,
-    scanned over free_range on a uniform grid. For every n >= 0 the sign
-    changes of `_row0_terminal` are bisected to PARAM_TOL. A zero where the
+    scanned over free_range on a uniform grid. For every n >= 0
+    `_row0_terminal` is evaluated on the whole grid in one array pass
+    (`_scan_grid`), and brentq refines each cell with a sign change to
+    PARAM_TOL by calling the same functions on floats (`_scan_point`), which
+    agree with the grid values bit for bit. A zero where the
     operator has no null vector is not an exceptional point and is not
     returned; every other one is, with its rapidities from the null vector
     and verified against the Fock gap at eps = n, or unverified with
@@ -634,17 +697,10 @@ def find_exceptional(
     if free not in _FREE_PARAMS or set(fixed) != set(_FREE_PARAMS) - {free}:
         raise ValueError(f"free must be one of {_FREE_PARAMS} with the rest fixed")
 
-    def scalar(t: float) -> float:
-        try:
-            r = reduce(_params_with(fixed, free, float(t)))
-        except ValueError:
-            return math.nan
-        if r.rabi_limit or r.nu <= 0 or abs(r.lambda_minus) < 1e-6 * r.lambda_plus:
-            return math.nan
-        return _row0_terminal(_exceptional_operator(n, r))
-
+    ts = np.linspace(*free_range, grid)
+    scalar = functools.partial(_scan_point, n, fixed, free)
     points: list[ExceptionalPoint] = []
-    for t_root in _grid_roots(scalar, np.linspace(*free_range, grid)):
+    for t_root in _grid_roots(scalar, ts, _scan_grid(n, fixed, free, ts)):
         p = _params_with(fixed, free, float(t_root))
         r = reduce(p)
         if _has_null_vector(n, r):
@@ -797,12 +853,13 @@ def branch_Z(
     """All distinct Bethe-root branches (Z1, Z2) at fixed (n, kappa, nu).
 
     Every finite eigenvalue (v0, v1) of `_branch_eigenvalues` fixes
-    V = v0 + v1 z - 2 nu n z^2; the roots of the null vector of that
-    `_hs_operator`, polished by Newton on the Bethe equations, are kept when
-    they solve them, with no rapidity on a pole and closed under
-    conjugation. The eigenproblem gives every branch, deterministically
-    (2n of them; in the monomial basis a few can be lost from n ~ 10 at
-    small nu).
+    V = v0 + v1 z - 2 nu n z^2. A null vector of that `_hs_operator` with a
+    double root on a pole (`_pole_collapsed`: C(n, 2) + 1 of the
+    eigenvalues) is skipped; the roots of every other one, polished by
+    Newton on the Bethe equations, are kept when they solve them, with no
+    rapidity on a pole and closed under conjugation. The eigenproblem gives
+    every branch, deterministically (2n of them; in the monomial basis a few
+    can be lost from n ~ 10 at small nu).
 
     The paper's closed Lambda system is an opt-in cross-check: with
     extra_starts > 0 (and n >= 2) multistart Newton in the (Z1, Z2) plane,
@@ -832,7 +889,10 @@ def branch_Z(
             ops.append(_branch_operator(n, kappa, nu, *sol2d))
     found: dict[tuple, BetheSolution] = {}
     for op in ops:
-        sol = _null_vector_solution(op, levels, strengths, nu)
+        chi = _null_vector(op)
+        if _pole_collapsed(chi, levels):
+            continue
+        sol = _chi_solution(chi, levels, strengths, nu)
         if sol is None:
             continue
         try:
@@ -887,8 +947,8 @@ def _recover_rabi_solution(n: int, nu: float, delta: float) -> BetheSolution | N
     row and the Rabi-line Z1 give v0 = n(n-1) - (2n+1) n - 2 nu Z1."""
     v0 = n * (n - 1) - (2 * n + 1) * n - 2 * nu * _rabi_line_z1(n, nu, delta)
     levels, strengths = (nu, -nu), (float(n), n + 1.0)
-    return _null_vector_solution(_hs_operator(levels, strengths, nu, (v0, -2 * nu * n), n),
-                                 levels, strengths, nu)
+    return _chi_solution(_null_vector(_hs_operator(levels, strengths, nu, (v0, -2 * nu * n), n)),
+                         levels, strengths, nu)
 
 
 def rabi_exceptional(
@@ -907,8 +967,12 @@ def rabi_exceptional(
     delta = omega0 / omega
     lo, hi = g_range
     gs = np.linspace(max(lo, 1e-6), hi, grid)
+
+    def condition(g: float) -> float:
+        return rabi_condition(n, g / omega, delta)
+
     points: list[ExceptionalPoint] = []
-    for g_root in _grid_roots(lambda g: rabi_condition(n, g / omega, delta), gs):
+    for g_root in _grid_roots(condition, gs, np.array([condition(g) for g in gs])):
         p = ModelParams(omega, omega0, g_root, g_root)
         sol = _recover_rabi_solution(n, g_root / omega, delta)
         points.append(_verify_point(n + 1, p, reduce(p), sol, n_max,

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -374,6 +375,31 @@ class TestFindExceptional:
         with pytest.raises(ValueError):
             bethe.find_exceptional(0, {"omega": 1.0}, "g1", (0.1, 1.0))
 
+    @pytest.mark.parametrize("free, fixed, lo, hi, rabi_at", [
+        # g1 < 0 raises in ModelParams, g1 = 0 has nu = 0, g1 = g2 is the Rabi line
+        ("g1", {"omega": 1.0, "omega0": 0.7, "g2": 0.2}, -0.3, 3.7, 0.2),
+        # the exceptional-search line that starts on the Rabi line
+        ("g1", {"omega": 1.0, "omega0": 0.7, "g2": 0.2}, 0.2, 4.0, 0.2),
+        ("g2", {"omega": 1.0, "omega0": 0.7, "g1": 0.5}, -0.3, 1.7, 0.5),
+        # omega <= 0 raises in ModelParams
+        ("omega", {"omega0": 0.7, "g1": 0.5, "g2": 0.1}, -0.5, 3.5, None),
+        # omega0 = 0 gives kappa = 0, a valid point
+        ("omega0", {"omega": 1.0, "g1": 0.5, "g2": 0.1}, -2.0, 2.0, None),
+    ])
+    def test_grid_pass_equals_point_calls(self, free, fixed, lo, hi, rabi_at):
+        # The one-pass grid gives brentq's per-point values bit for bit, with
+        # NaN in the same cells: free <= 0 (but omega0) and the Rabi line, on
+        # which 401 points put a grid value.
+        ts = np.linspace(lo, hi, 401)
+        nan = (ts < 1e-12) & (free != "omega0")
+        if rabi_at is not None:
+            nan |= np.abs(ts - rabi_at) < 1e-12
+        for n in range(13):
+            grid = bethe._scan_grid(n, fixed, free, ts)
+            point = np.array([bethe._scan_point(n, fixed, free, t) for t in ts])
+            assert np.array_equal(grid, point, equal_nan=True), (free, n)
+            assert np.array_equal(np.isnan(grid), nan), (free, n)
+
     def test_n8_point_near_kappa_eq_nu_verified(self):
         # 0.02 from kappa = nu, where the Lambda-form recovery failed and the
         # point was dropped; the null vector of the operator recovers it.
@@ -410,6 +436,17 @@ class TestCompleteness:
                 missed = [round(x, 4) for x in fock_x[n]
                           if not any(abs(g - x) < 1.5 * cell for g in found)]
                 assert missed == self.EXPECTED_MISSES.get((g2, n), []), (g2, n)
+
+    def test_points_unchanged_by_the_one_pass_grid(self):
+        # sha256 of repr() of the g1 lists, n = 0..10 at g2 = 0.1 then 0.2, that
+        # find_exceptional returned (126 points) when it evaluated the grid point
+        # by point; the array pass must not move any of them by a bit
+        found = [[pt.params.g1 for pt in bethe.find_exceptional(
+                     n, {"omega": 1.0, "omega0": 0.7, "g2": g2}, "g1", (0.2, 4.0))]
+                 for g2 in (0.1, 0.2) for n in range(11)]
+        assert sum(map(len, found)) == 126
+        assert hashlib.sha256(repr(found).encode()).hexdigest() == (
+            "bb3a2c825044161b2714ecbe5d6fc475ea2329548874e9997e115b8d7412e876")
 
 
 class TestBranches:
@@ -448,10 +485,14 @@ class TestBranches:
         monkeypatch.setattr(bethe, "_newton_2d", counting_2d)
         monkeypatch.setattr(bethe, "_newton_bae", counting_bae)
         sols = bethe.branch_Z(3, 0.4, 0.35, extra_starts=120)
-        # one recovery per finite eigenvalue and per distinct converged (Z1, Z2)
+        # one recovery per finite eigenvalue and per distinct converged (Z1, Z2),
+        # none for the pole-collapsed ones: C(3, 2) + 1 = 4 of the 10
+        # eigenvalues, and the converged (-2.711, 12.647122), whose chi has a
+        # double root at kappa
         assert len(bethe._branch_eigenvalues(3, 0.4, 0.35)[0]) == 10
         assert len(converged) > len(set(converged))
-        assert len(bae_calls) == 10 + len(set(converged)) == 10 + 6
+        assert (-2.711, 12.647122) in set(converged)
+        assert len(bae_calls) == 10 - 4 + len(set(converged)) - 1 == 6 + 5
         assert sols
         for s in sols:
             assert s.residual_max < 1e-10
@@ -469,6 +510,36 @@ class TestBranches:
         assert sols[0].branch_id == "ground"
         assert abs(sols[0].Z1 - a1) / abs(sols[0].Z1) < 1e-2
         assert abs(sols[0].Z2 - a2) / abs(sols[0].Z2) < 1e-2
+
+    def test_pole_collapsed_eigenvalues_skip_newton(self, monkeypatch):
+        n, kappa, nu = 5, 0.1, 0.05
+        levels, strengths = (nu, -nu, kappa), (n - 1.0, float(n), 1.0)
+        chis = [bethe._null_vector(bethe._hs_operator(levels, strengths, nu,
+                                                      (v0, v1, -2 * nu * n), n))
+                for v0, v1 in zip(*bethe._branch_eigenvalues(n, kappa, nu))]
+
+        def divisible(chi: np.ndarray, factor: np.ndarray) -> bool:
+            rem = np.polydiv(chi[::-1], factor)[1]
+            return np.max(np.abs(rem)) < 1e-9 * np.max(np.abs(chi))
+
+        # C(5, 2) of them have a double root at kappa, one is (z - nu)^5
+        at_kappa = [divisible(c, np.poly([kappa, kappa])) for c in chis]
+        at_nu = [divisible(c, np.poly([nu] * n)) for c in chis]
+        assert (len(chis), sum(at_kappa), sum(at_nu)) == (21, 10, 1)
+        assert [bethe._pole_collapsed(c, levels) for c in chis] == [
+            a or b for a, b in zip(at_kappa, at_nu)]
+
+        newton_bae, calls = bethe._newton_bae, []
+
+        def counting_bae(*args):
+            calls.append(1)
+            return newton_bae(*args)
+
+        monkeypatch.setattr(bethe, "_newton_bae", counting_bae)
+        sols = bethe.branch_Z(n, kappa, nu)
+        assert len(calls) == 21 - 11
+        assert len(sols) == 10
+        assert all(s.residual_max < 1e-10 for s in sols)
 
     def test_branch_count_exactly_2n(self):
         for (n, kappa, nu) in [(2, 0.5, 0.45), (3, 0.4, 0.35), (4, 0.25, 0.4), (4, 0.3, 0.2),

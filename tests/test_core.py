@@ -12,6 +12,7 @@ from rabi_spectra.core import (
     invert,
     mirror,
     reduce,
+    reduce_grid,
 )
 
 
@@ -48,6 +49,28 @@ def test_invalid_params_rejected():
         ModelParams(0.0, 1.0, 1.0, 0.5)
     with pytest.raises(ValueError):
         ModelParams(1.0, 1.0, -0.1, 0.5)
+
+
+def test_reduce_grid_equals_reduce_bit_for_bit():
+    # crosses g1 < 0 (ModelParams raises), g1 = 0, the Rabi line g1 = g2 and
+    # g1 = g2 = 0; every valid point must equal reduce() exactly
+    rng = np.random.default_rng(5)
+    for g2 in (0.0, 0.3, 0.7):
+        g1 = np.concatenate([np.linspace(-0.5, 2.0, 101), [g2], rng.uniform(0, 2, 50)])
+        omega0 = float(rng.uniform(-1, 1))
+        r = reduce_grid(1.3, omega0, g1, g2)
+        for i, g in enumerate(g1):
+            fields = (r.delta[i], r.lambda_plus[i], r.lambda_minus[i], r.nu[i], r.kappa[i])
+            if g < 0:
+                assert np.isnan(fields).all()
+                continue
+            want = reduce(ModelParams(1.3, omega0, float(g), g2))
+            assert bool(r.rabi_limit[i]) == want.rabi_limit
+            kappa = math.nan if want.kappa is None else want.kappa
+            assert np.array_equal(fields, (want.delta, want.lambda_plus, want.lambda_minus,
+                                           want.nu, kappa), equal_nan=True), (g2, g)
+    r = reduce_grid(np.array([-1.0, 0.0, 1.0]), 1.0, 0.5, 0.2)
+    assert np.isnan(r.nu[:2]).all() and r.nu[2] == reduce(ModelParams(1.0, 1.0, 0.5, 0.2)).nu
 
 
 def test_shifted_energy_roundtrip():
