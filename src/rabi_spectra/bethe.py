@@ -8,9 +8,12 @@ of degeneracies d_s = (n-1, n, 1):
     sum_{j!=i} 2/(z_j - z_i) + sum_s d_s/(z_i - eps_s) + 2 nu = 0.
 
 Equivalently chi is a null vector of the Bargmann ODE on the monomials
-z^0..z^n (`_hs_operator`, the Heine-Stieltjes form): exceptional points are
-located through it for every n, and every rapidity set is recovered from its
-null vector. At fixed (n, kappa, nu) the free coefficients (v0, v1) of its
+z^0..z^n (`_hs_operator`, the Heine-Stieltjes form). Along a line in one
+model parameter this operator, with its denominators cleared, is a
+polynomial matrix, and the exceptional points at every n are its real
+rank-loss points: eigenvalues of a companion pencil, with no grid. Every
+rapidity set is recovered from the null vector. At fixed (n, kappa, nu) the
+free coefficients (v0, v1) of its
 potential are the eigenvalues of a rectangular two-parameter eigenproblem,
 which gives every root branch of `branch_Z`. The paper's Lambda form stays
 available: Lambda_j = (1/2nu) sum_k 1/(eps_j - z_k) closes into a quadratic
@@ -25,29 +28,30 @@ Scaled derivatives are used throughout:
 the unique convention under which valid root sets satisfy the hierarchy.
 
 On the Rabi line g1 = g2 the kappa level disappears; the two-level variant
-with degeneracies (n, n+1) at fixed eps = n + 1 handles the Juddian points.
+with degeneracies (n, n+1) at fixed eps = n + 1 handles the Juddian points,
+the rank-loss points of its square operator, cubic in the coupling.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
-from operator import add, mul
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import eig
-from scipy.optimize import brentq
+# not called here; imported because the benchmark tracer wraps it (ROADMAP item 1)
+from scipy.optimize import brentq  # noqa: F401
 
 from . import fock
-from .core import ModelParams, ReducedParams, reduce, reduce_grid
+from .core import ModelParams, ReducedParams, reduce
 
-PARAM_TOL = 1e-10
+PARAM_TOL = 1e-10  # accuracy asked of a located parameter value
 BETHE_TOL = 1e-10
 POLE_TOL = 1e-8
-# sigma_min / scale of the Heine-Stieltjes operator: <= 1.1e-11 at the points
-# of the exceptional-search lines, >= 3.5e-3 at sign changes without a null vector
+# sigma_min / scale of the Heine-Stieltjes operator at the 673 candidates of
+# the exceptional-search lines and the tests' lines: <= 1.2e-12 at the points,
+# >= 1.2e-4 at eigenvalues that only the projection has
 NULL_TOL = 1e-9
 # |chi| and |chi'| at a pole over the magnitude sums of their terms, at 13
 # (n, kappa, nu) with n = 1..10: <= 7e-11 for the pole-collapsed eigenvalues
@@ -132,12 +136,10 @@ def _d_coefficients(r: ReducedParams, epsilon: float) -> tuple[float, float, flo
     """(d0, d1, d2) of D2; r must be off the Rabi line."""
     k, nu, dl, lp = r.kappa, r.nu, r.delta, r.lambda_plus
     e = epsilon - lp
-    nu2 = nu * nu
-    nu4 = nu2 * nu2  # not nu ** 4: float pow and numpy's power can differ by an ulp
-    d0 = k * (dl * dl - epsilon * epsilon + 2 * epsilon * lp - lp * lp + lp + nu2 + nu4) \
-        + nu * (epsilon - lp - nu2)
-    d1 = e * (e + 1) - dl * dl + dl * lp / r.lambda_minus + nu * k - nu2 \
-        - 2 * nu * epsilon * k - nu4
+    d0 = k * (dl * dl - epsilon * epsilon + 2 * epsilon * lp - lp * lp + lp + nu * nu + nu ** 4) \
+        + nu * (epsilon - lp - nu * nu)
+    d1 = e * (e + 1) - dl * dl + dl * lp / r.lambda_minus + nu * k - nu * nu \
+        - 2 * nu * epsilon * k - nu ** 4
     return d0, d1, 2 * nu * epsilon
 
 
@@ -507,26 +509,6 @@ def _branch_operator(n: int, kappa: float, nu: float, Z1: float, Z2: float) -> l
     return _hs_operator(levels, strengths, nu, (v0, v1, v2), n)
 
 
-def _row0_terminal(op: list[list[float]]) -> float:
-    """Scan scalar: the degree-0 row's residual, over max |c|, after rows
-    n+1 .. 2 fix c_{n-1} .. c_0 from c_n = 1 (row m through its pivot
-    2 nu (n - m + 2), never 0, so the scalar is smooth). It vanishes at
-    every exceptional point, and where only the degree-1 row is violated.
-    The entries of op may be floats or arrays over a grid alike."""
-    n = len(op[0]) - 1
-    c = [0.0] * n + [1.0]
-    for m in range(n + 1, 1, -1):  # c[m - 2] is still 0 in the product
-        c[m - 2] = -_dot(op[m], c) / op[m][m - 2]
-    return _dot(op[0], c) / np.max(np.abs(c[:-1]), axis=0, initial=1.0)
-
-
-def _dot(row: list, c: list):
-    """sum(row[k] * c[k]) added left to right, for floats and arrays alike:
-    not sum(), which compensates float sums from Python 3.12 on but not
-    array sums."""
-    return functools.reduce(add, map(mul, row, c))
-
-
 def _has_null_vector(n: int, r: ReducedParams) -> bool:
     """True when the exceptional operator, top row dropped, has a null vector:
     sigma_min <= NULL_TOL max(sigma_max, `_d_scale`). The scale term serves
@@ -623,53 +605,66 @@ def _verify_point(
     )
 
 
-def _scan_domain(r: ReducedParams):
-    """Where `find_exceptional` scans, for float or array fields alike:
-    nu > 0 and lambda- off the Rabi line by more than 1e-6 lambda+ (False
-    on the Rabi line, and wherever a field is NaN)."""
-    return (r.nu > 0) & (abs(r.lambda_minus) >= 1e-6 * r.lambda_plus)
+def _in_domain(r: ReducedParams) -> bool:
+    """Where `find_exceptional` keeps a point: nu > 0 and lambda- off the
+    Rabi line by more than 1e-6 lambda+."""
+    return r.nu > 0 and abs(r.lambda_minus) >= 1e-6 * r.lambda_plus
 
 
-def _scan_point(n: int, fixed: dict, free: str, t: float) -> float:
-    """`find_exceptional`'s scan scalar, `_row0_terminal` of the exceptional
-    operator, at free = t; NaN for invalid parameters or off `_scan_domain`."""
-    try:
-        r = reduce(_params_with(fixed, free, float(t)))
-    except ValueError:
-        return math.nan
-    if not _scan_domain(r):
-        return math.nan
-    return _row0_terminal(_exceptional_operator(n, r))
+def _real_eigenvalues(
+    sample: Callable[[float], np.ndarray], degree: int, lo: float, hi: float,
+) -> np.ndarray:
+    """Every real x in [lo, hi] where the matrix polynomial sample(x), of
+    the given degree in x, loses rank, ascending.
 
-
-def _scan_grid(n: int, fixed: dict, free: str, ts: np.ndarray) -> np.ndarray:
-    """`_scan_point` at every ts in one pass: the same functions on arrays of
-    the reduced parameters, equal to the per-point values bit for bit."""
-    r = reduce_grid(**{**fixed, free: ts})
-    with np.errstate(all="ignore"):
-        return np.where(_scan_domain(r), _row0_terminal(_exceptional_operator(n, r)), np.nan)
-
-
-def _grid_roots(f: Callable[[float], float], ts: np.ndarray, vals: np.ndarray) -> list[float]:
-    """Zeros of f, ascending: brentq to PARAM_TOL on each grid cell whose
-    ends (vals = f at ts) are finite with a sign change. A zero exactly on a
-    grid point ends two cells, and brentq returns that point for both; it
-    is reported once.
+    sample is taken at an even number (degree + 1 or + 2) of Chebyshev
+    nodes, so never at the ends or the midpoint of the interval, and its
+    monomial coefficients in t = (2x - lo - hi) / (hi - lo) are fitted with
+    its rows equilibrated. An (m + 1) x m polynomial is made square by one
+    fixed m x (m + 1) Gaussian matrix, drawn from a constant seed
+    (Hochstenbach, Mehl and Plestenjak, SIMAX 40, 2019); it adds rank-loss
+    points of its own for the caller to reject. The candidates are the real
+    eigenvalues, in [-1, 1], of the first companion pencil (LAPACK gives
+    those of a real pencil a zero imaginary part), each refined by one
+    Newton step on the exact sample: near omega -> 0 a fitted eigenvalue
+    was found 6e-9 off (relative), too far for `_has_null_vector`; the step
+    leaves it below 1e-13.
     """
-    roots: list[float] = []
-    for i in range(len(ts) - 1):
-        a, b = vals[i], vals[i + 1]
-        if not (np.isfinite(a) and np.isfinite(b)) or a * b > 0:
-            continue
-        if a == 0.0 and b == 0.0:
-            continue
-        try:
-            t_root = brentq(f, ts[i], ts[i + 1], xtol=PARAM_TOL, rtol=8.9e-16)
-        except ValueError:
-            continue
-        if not roots or t_root != roots[-1]:
-            roots.append(t_root)
-    return roots
+    k = degree + 2 - degree % 2
+    t = np.cos(np.pi * (np.arange(k) + 0.5) / k)
+
+    def x_of(tk):
+        return lo + (hi - lo) * (tk + 1) / 2
+
+    raw = np.array([sample(x_of(tk)) for tk in t])
+    rows = np.max(np.abs(raw), axis=(0, 2))
+    rows[rows == 0] = 1.0  # a row that is 0 all along (nu = 0 on a JC line) stays 0
+    m = raw.shape[2]
+    proj = np.random.default_rng(13077876).standard_normal((m, m + 1)) \
+        if raw.shape[1] > m else np.eye(m)
+
+    def square(v: np.ndarray) -> np.ndarray:
+        return proj @ (v / rows[:, None])
+
+    c = np.polynomial.polynomial.polyfit(t, square(raw).reshape(k, -1), degree)
+    c = c.reshape(degree + 1, m, m)
+    cn = c / np.max(np.abs(c))
+    a = np.eye(degree * m, k=-m)
+    a[:m] = -np.hstack(cn[-2::-1])
+    b = np.eye(degree * m)
+    b[:m, :m] = cn[-1]
+    alpha, beta = eig(a, b, right=False, homogeneous_eigvals=True)
+    real = (alpha.imag == 0) & (np.abs(alpha.real) <= np.abs(beta)) & (beta != 0)
+    dc = np.polynomial.polynomial.polyder(c)
+    roots = []
+    for tk in (alpha[real] / beta[real]).real:
+        # sigma_min of the sample over its rate along the singular vectors,
+        # taken from the fitted derivative
+        u, sv, vt = np.linalg.svd(square(sample(x_of(tk))))
+        tk -= sv[-1] / (u[:, -1] @ np.polynomial.polynomial.polyval(tk, dc) @ vt[-1])
+        if abs(tk) <= 1:
+            roots.append(x_of(tk))
+    return np.sort(roots)
 
 
 def find_exceptional(
@@ -677,33 +672,51 @@ def find_exceptional(
     fixed: dict[str, float],
     free: str,
     free_range: tuple[float, float],
-    grid: int = 400,
     n_max: int = fock.DEFAULT_N_MAX,
 ) -> list[ExceptionalPoint]:
-    """Exceptional points at eps = n along a scan of one model parameter.
+    """Exceptional points at eps = n along one model parameter.
 
     `fixed` holds three of {omega, omega0, g1, g2}; `free` names the fourth,
-    scanned over free_range on a uniform grid. For every n >= 0
-    `_row0_terminal` is evaluated on the whole grid in one array pass
-    (`_scan_grid`), and brentq refines each cell with a sign change to
-    PARAM_TOL by calling the same functions on floats (`_scan_point`), which
-    agree with the grid values bit for bit. A zero where the
-    operator has no null vector is not an exceptional point and is not
-    returned; every other one is, with its rapidities from the null vector
-    and verified against the Fock gap at eps = n, or unverified with
-    "rapidity recovery failed" if Newton does not converge. The Rabi line
-    and its immediate neighbourhood are left to `rabi_exceptional`.
+    searched over free_range, clipped to g >= 0 and omega >= 0. The
+    exceptional operator (top row dropped) times lambda- omega^6 =
+    (g1^2 - g2^2) omega^4 / 2 is a polynomial matrix in x = omega0 (degree
+    3), omega (degree 4; 1/omega would make a range through omega = 0
+    unbounded) or sqrt(g) (degree 12); its real rank-loss points
+    (`_real_eigenvalues`) off the Rabi line with nu > 0 (`_in_domain`)
+    where the operator has a null vector (`_has_null_vector`, which rejects
+    those of the projection) are the exceptional points. Each is returned
+    with its rapidities from the null vector, verified against the Fock gap
+    at eps = n, or unverified with "rapidity recovery failed" if Newton
+    does not converge. The Rabi line and its immediate neighbourhood are
+    left to `rabi_exceptional`.
     """
     if free not in _FREE_PARAMS or set(fixed) != set(_FREE_PARAMS) - {free}:
         raise ValueError(f"free must be one of {_FREE_PARAMS} with the rest fixed")
+    lo, hi = sorted(free_range)
+    if free != "omega0":
+        lo = max(lo, 0.0)
+    if hi <= lo or (free in ("omega", "omega0")
+                    and reduce(_params_with(fixed, free, hi)).rabi_limit):
+        return []  # empty, or all on the Rabi line, where kappa is undefined
+    root = free in ("g1", "g2")
 
-    ts = np.linspace(*free_range, grid)
-    scalar = functools.partial(_scan_point, n, fixed, free)
+    def params(x: float) -> ModelParams:
+        return _params_with(fixed, free, float(x * x if root else x))
+
+    def sample(x: float) -> np.ndarray:
+        # lambda- clears kappa = delta nu / lambda- and delta lambda+ / lambda-
+        # in D2; it is constant on an omega0 line, and at omega0 = 0 there is
+        # nothing to clear (it would only add a rank-loss point on the Rabi line)
+        p = params(x)
+        lam = p.g1 ** 2 - p.g2 ** 2 if fixed.get("omega0") else 1.0
+        return lam * p.omega ** 4 * np.array(_exceptional_operator(n, reduce(p))[:-1])
+
+    degree = 12 if root else 4 if free == "omega" else 3
     points: list[ExceptionalPoint] = []
-    for t_root in _grid_roots(scalar, ts, _scan_grid(n, fixed, free, ts)):
-        p = _params_with(fixed, free, float(t_root))
+    for x in _real_eigenvalues(sample, degree, *(map(math.sqrt, (lo, hi)) if root else (lo, hi))):
+        p = params(x)
         r = reduce(p)
-        if _has_null_vector(n, r):
+        if _in_domain(r) and _has_null_vector(n, r):
             sol = _recover_solution(n, r)
             points.append(_verify_point(n, p, r, sol, n_max, recovered=sol is not None))
     return points
@@ -941,14 +954,18 @@ def _rabi_line_lambda(n: int, nu: float, delta: float) -> tuple[float, tuple[flo
     return Z1, (l1, l2)
 
 
-def _recover_rabi_solution(n: int, nu: float, delta: float) -> BetheSolution | None:
-    """Rabi-line rapidities from the null vector of `_hs_operator` with levels
-    (nu, -nu), strengths (n, n+1) and V = v0 - 2 nu n z, where the degree-n
-    row and the Rabi-line Z1 give v0 = n(n-1) - (2n+1) n - 2 nu Z1."""
+def _rabi_operator(n: int, nu: float, delta: float) -> list[list[float]]:
+    """`_hs_operator` with levels (nu, -nu), strengths (n, n+1) and
+    V = v0 - 2 nu n z, where the degree-n row and the Rabi-line Z1 give
+    v0 = n(n-1) - (2n+1) n - 2 nu Z1; cubic in nu, n + 2 rows."""
     v0 = n * (n - 1) - (2 * n + 1) * n - 2 * nu * _rabi_line_z1(n, nu, delta)
-    levels, strengths = (nu, -nu), (float(n), n + 1.0)
-    return _chi_solution(_null_vector(_hs_operator(levels, strengths, nu, (v0, -2 * nu * n), n)),
-                         levels, strengths, nu)
+    return _hs_operator((nu, -nu), (float(n), n + 1.0), nu, (v0, -2 * nu * n), n)
+
+
+def _recover_rabi_solution(n: int, nu: float, delta: float) -> BetheSolution | None:
+    """Rabi-line rapidities from the null vector of `_rabi_operator`."""
+    return _chi_solution(_null_vector(_rabi_operator(n, nu, delta)), (nu, -nu),
+                         (float(n), n + 1.0), nu)
 
 
 def rabi_exceptional(
@@ -956,25 +973,25 @@ def rabi_exceptional(
     omega: float,
     omega0: float,
     g_range: tuple[float, float],
-    grid: int = 400,
     n_max: int = fock.DEFAULT_N_MAX,
 ) -> list[ExceptionalPoint]:
     """Juddian points on the Rabi line g1 = g2 = g, at eps = n + 1.
 
-    Every zero of the Juddian condition is returned; one whose rapidities
-    are not recovered is flagged unverified, with the recovery attached.
+    They are the real rank-loss points g in g_range (from g = 1e-6 on) of
+    `_rabi_operator` with its top row dropped, a square polynomial matrix
+    of degree 3 in g (`_real_eigenvalues`). Every one is returned; one
+    whose rapidities are not recovered is flagged unverified.
     """
     delta = omega0 / omega
-    lo, hi = g_range
-    gs = np.linspace(max(lo, 1e-6), hi, grid)
-
-    def condition(g: float) -> float:
-        return rabi_condition(n, g / omega, delta)
-
+    lo, hi = max(min(g_range), 1e-6), max(g_range)
+    if hi <= lo:
+        return []
     points: list[ExceptionalPoint] = []
-    for g_root in _grid_roots(condition, gs, np.array([condition(g) for g in gs])):
-        p = ModelParams(omega, omega0, g_root, g_root)
-        sol = _recover_rabi_solution(n, g_root / omega, delta)
+    for g in _real_eigenvalues(lambda g: np.array(_rabi_operator(n, g / omega, delta)[:-1]),
+                               3, lo, hi):
+        g = float(g)
+        p = ModelParams(omega, omega0, g, g)
+        sol = _recover_rabi_solution(n, g / omega, delta)
         points.append(_verify_point(n + 1, p, reduce(p), sol, n_max,
                                     recovered=sol is not None))
     return points

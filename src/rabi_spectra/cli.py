@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
         ap.add_argument(f"--{axis}-range", dest=f"{axis}_range",
                         help="grid start:stop:count on this axis")
     ap.add_argument("--g-range", dest="g_range",
-                    help="rabi-markers: coupling grid start:stop:count")
+                    help="rabi-markers: coupling range start:stop:count (count unused)")
     ap.add_argument("--n", type=int, default=0,
                     help="exceptional level index, or max level for counts/markers")
     ap.add_argument("--free", choices=FREE_PARAMS, default="g1",

@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 # Relative tolerance below which |g1^2 - g2^2| counts as the Rabi line; kappa
 # diverges there and the Lambda linear system turns singular.
 TOL_RABI = 1e-12
@@ -86,17 +84,6 @@ class ShiftedEnergy:
         return cls(epsilon=epsilon, e=epsilon - lambda_plus)
 
 
-def _reduced_fields(omega, omega0, g1, g2):
-    """(delta, lambda+, lambda-, nu, on the Rabi line) of floats or arrays;
-    the same operations either way, so the two agree bit for bit."""
-    w2 = omega * omega
-    delta = omega0 / omega
-    lam_p = 0.5 * (g1 * g1 + g2 * g2) / w2
-    lam_m = 0.5 * (g1 * g1 - g2 * g2) / w2
-    nu = np.sqrt(g1 * g2) / omega
-    return delta, lam_p, lam_m, nu, (abs(lam_m) <= TOL_RABI * lam_p) & (lam_p > 0)
-
-
 def reduce(p: ModelParams) -> ReducedParams:
     """Map physical parameters to the dimensionless set.
 
@@ -104,34 +91,18 @@ def reduce(p: ModelParams) -> ReducedParams:
     TOL_RABI relative to g1^2 + g2^2) the result carries rabi_limit=True and
     kappa=None; kappa=0.0 is returned for delta=0 with lambda- != 0.
     """
-    delta, lam_p, lam_m, nu, rabi = _reduced_fields(p.omega, p.omega0, p.g1, p.g2)
-    nu = float(nu)
-    if rabi:
+    w2 = p.omega * p.omega
+    delta = p.omega0 / p.omega
+    lam_p = 0.5 * (p.g1 * p.g1 + p.g2 * p.g2) / w2
+    lam_m = 0.5 * (p.g1 * p.g1 - p.g2 * p.g2) / w2
+    nu = math.sqrt(p.g1 * p.g2) / p.omega
+    if abs(lam_m) <= TOL_RABI * lam_p and lam_p > 0:
         return ReducedParams(delta, lam_p, lam_m, nu, None, rabi_limit=True)
     if lam_p == 0.0:
         # g1 = g2 = 0: decoupled oscillator, treat as Rabi-degenerate too.
         return ReducedParams(delta, 0.0, 0.0, 0.0, None, rabi_limit=True)
     kappa = delta * nu / lam_m
     return ReducedParams(delta, lam_p, lam_m, nu, kappa)
-
-
-def reduce_grid(omega, omega0, g1, g2) -> ReducedParams:
-    """`reduce` at every point of broadcast parameter arrays, as one
-    ReducedParams whose fields are arrays (rabi_limit a boolean one).
-
-    Where ModelParams would raise, every field is NaN; on the Rabi line (and
-    at g1 = g2 = 0) kappa is NaN. Elsewhere each entry equals the field of
-    `reduce` at that point bit for bit.
-    """
-    omega, omega0, g1, g2 = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float) for x in (omega, omega0, g1, g2)))
-    with np.errstate(all="ignore"):
-        delta, lam_p, lam_m, nu, rabi = _reduced_fields(omega, omega0, g1, g2)
-        rabi |= lam_p == 0.0
-        kappa = np.where(rabi, np.nan, delta * nu / lam_m)
-    invalid = ~((omega > 0) & (g1 >= 0) & (g2 >= 0))
-    fields = [np.where(invalid, np.nan, x) for x in (delta, lam_p, lam_m, nu, kappa)]
-    return ReducedParams(*fields, rabi_limit=rabi)
 
 
 def invert(kappa: float, nu: float, delta: float, omega: float) -> ModelParams:

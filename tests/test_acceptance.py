@@ -256,7 +256,7 @@ def test_criterion_09_rabi_markers():
     n_top = 8  # compare crossings with eps <= 8
     markers = []
     for n in range(0, n_top):
-        for pt in bethe.rabi_exceptional(n, 1.0, 1.0, (0.05, 1.02), grid=250, n_max=200):
+        for pt in bethe.rabi_exceptional(n, 1.0, 1.0, (0.05, 1.02), n_max=200):
             assert pt.verified
             assert pt.verified_gap < 1e-7
             assert abs(pt.epsilon_at_crossing - pt.n) < 1e-6

@@ -1,4 +1,3 @@
-import hashlib
 import math
 
 import numpy as np
@@ -7,7 +6,7 @@ import pytest
 from oracles import (bae_residual_loop, hierarchy_closure_chain, hierarchy_residual,
                      hierarchy_terms, lambda_from_roots, lambda_linear_matrix,
                      lambda_linear_solve_n1, lambda_scaled_derivative, parity_crossings)
-from rabi_spectra import bethe, fock
+from rabi_spectra import bethe, fock, weakpert
 from rabi_spectra.core import ModelParams, ReducedParams, invert, reduce
 
 
@@ -253,7 +252,7 @@ class TestExceptionalCondition:
         fixed = {"omega": 1.0, "omega0": 0.7, "g2": 0.1}
         counts = {}
         for n in range(1, 9):
-            pts = bethe.find_exceptional(n, fixed, "g1", (0.2, 2.6), grid=200, n_max=140)
+            pts = bethe.find_exceptional(n, fixed, "g1", (0.2, 2.6), n_max=140)
             counts[n] = len(pts)
             for pt in pts:
                 assert pt.verified
@@ -332,7 +331,7 @@ class TestHeineStieltjesOperator:
 
     def test_null_vector_is_chi_of_exceptional_roots(self):
         pts = bethe.find_exceptional(
-            3, {"omega": 1.0, "omega0": 0.7, "g2": 0.1}, "g1", (0.2, 1.2), grid=100)
+            3, {"omega": 1.0, "omega0": 0.7, "g2": 0.1}, "g1", (0.2, 1.2))
         assert len(pts) == 2
         cases = [(bethe._exceptional_operator(3, pt.reduced), pt.solution) for pt in pts]
         # branch_Z roots at fixed (n, kappa, nu), through the (Z1, Z2) operator
@@ -354,16 +353,14 @@ class TestFindExceptional:
     def test_n0_curve(self):
         for g2 in (0.2, 0.5):
             pts = bethe.find_exceptional(
-                0, {"omega": 1.0, "omega0": 1.0, "g2": g2}, "g1", (1.0, 2.0),
-                grid=120, n_max=140)
+                0, {"omega": 1.0, "omega0": 1.0, "g2": g2}, "g1", (1.0, 2.0), n_max=140)
             assert len(pts) == 1
             assert pts[0].params.g1 == pytest.approx(math.sqrt(2 + g2 * g2), abs=1e-8)
             assert pts[0].verified
 
     def test_n1_points_confirmed(self):
         pts = bethe.find_exceptional(
-            1, {"omega": 1.0, "omega0": 0.7, "g2": 0.1}, "g1", (0.2, 2.6),
-            grid=200, n_max=140)
+            1, {"omega": 1.0, "omega0": 0.7, "g2": 0.1}, "g1", (0.2, 2.6), n_max=140)
         assert len(pts) == 3
         for pt in pts:
             assert pt.verified
@@ -375,30 +372,14 @@ class TestFindExceptional:
         with pytest.raises(ValueError):
             bethe.find_exceptional(0, {"omega": 1.0}, "g1", (0.1, 1.0))
 
-    @pytest.mark.parametrize("free, fixed, lo, hi, rabi_at", [
-        # g1 < 0 raises in ModelParams, g1 = 0 has nu = 0, g1 = g2 is the Rabi line
-        ("g1", {"omega": 1.0, "omega0": 0.7, "g2": 0.2}, -0.3, 3.7, 0.2),
-        # the exceptional-search line that starts on the Rabi line
-        ("g1", {"omega": 1.0, "omega0": 0.7, "g2": 0.2}, 0.2, 4.0, 0.2),
-        ("g2", {"omega": 1.0, "omega0": 0.7, "g1": 0.5}, -0.3, 1.7, 0.5),
-        # omega <= 0 raises in ModelParams
-        ("omega", {"omega0": 0.7, "g1": 0.5, "g2": 0.1}, -0.5, 3.5, None),
-        # omega0 = 0 gives kappa = 0, a valid point
-        ("omega0", {"omega": 1.0, "g1": 0.5, "g2": 0.1}, -2.0, 2.0, None),
-    ])
-    def test_grid_pass_equals_point_calls(self, free, fixed, lo, hi, rabi_at):
-        # The one-pass grid gives brentq's per-point values bit for bit, with
-        # NaN in the same cells: free <= 0 (but omega0) and the Rabi line, on
-        # which 401 points put a grid value.
-        ts = np.linspace(lo, hi, 401)
-        nan = (ts < 1e-12) & (free != "omega0")
-        if rabi_at is not None:
-            nan |= np.abs(ts - rabi_at) < 1e-12
-        for n in range(13):
-            grid = bethe._scan_grid(n, fixed, free, ts)
-            point = np.array([bethe._scan_point(n, fixed, free, t) for t in ts])
-            assert np.array_equal(grid, point, equal_nan=True), (free, n)
-            assert np.array_equal(np.isnan(grid), nan), (free, n)
+    def test_lines_off_the_domain_give_no_point(self):
+        # g1 = g2 with omega or omega0 free lies on the Rabi line throughout,
+        # where kappa is undefined; g2 = 0 (a JC line) has nu = 0 throughout
+        for free, fixed in (("omega", {"omega0": 0.7, "g1": 0.5, "g2": 0.5}),
+                            ("omega0", {"omega": 1.0, "g1": 0.5, "g2": 0.5}),
+                            ("g1", {"omega": 1.0, "omega0": 0.7, "g2": 0.0})):
+            for n in range(3):
+                assert bethe.find_exceptional(n, fixed, free, (0.1, 2.0)) == []
 
     def test_n8_point_near_kappa_eq_nu_verified(self):
         # 0.02 from kappa = nu, where the Lambda-form recovery failed and the
@@ -413,12 +394,10 @@ class TestFindExceptional:
 
 
 class TestCompleteness:
-    # (g2, N) -> g1 of each parity-resolved Fock crossing that the scan misses:
-    # - g2 = 0.1, N = 3: a zero of the row-0 terminal that has no null vector
-    #   lies in the same grid cell as the point, so the cell shows no sign change;
-    # - g2 = 0.2, N = 4: the first grid cell starts on the Rabi line g1 = g2,
-    #   where kappa is undefined, so the cell has no finite end to bracket.
-    EXPECTED_MISSES = {(0.1, 3): [1.4416], (0.2, 4): [0.2050]}
+    # (g2, N) -> g1 of each parity-resolved Fock crossing that find_exceptional
+    # misses: none, including g1 = 1.4416 at (0.1, 3) and the point 0.2050 at
+    # (0.2, 4), next to the Rabi line g1 = g2 that starts the range
+    EXPECTED_MISSES: dict[tuple[float, int], list[float]] = {}
 
     def test_points_match_parity_crossings(self):
         cell = (4.0 - 0.2) / 399
@@ -437,16 +416,64 @@ class TestCompleteness:
                           if not any(abs(g - x) < 1.5 * cell for g in found)]
                 assert missed == self.EXPECTED_MISSES.get((g2, n), []), (g2, n)
 
-    def test_points_unchanged_by_the_one_pass_grid(self):
-        # sha256 of repr() of the g1 lists, n = 0..10 at g2 = 0.1 then 0.2, that
-        # find_exceptional returned (126 points) when it evaluated the grid point
-        # by point; the array pass must not move any of them by a bit
-        found = [[pt.params.g1 for pt in bethe.find_exceptional(
-                     n, {"omega": 1.0, "omega0": 0.7, "g2": g2}, "g1", (0.2, 4.0))]
-                 for g2 in (0.1, 0.2) for n in range(11)]
-        assert sum(map(len, found)) == 126
-        assert hashlib.sha256(repr(found).encode()).hexdigest() == (
-            "bb3a2c825044161b2714ecbe5d6fc475ea2329548874e9997e115b8d7412e876")
+    # (omega0, N) -> g1 of each point on a criterion-3 line that comes back
+    # "rapidity recovery failed": at (0.5, 2) one root of chi lies 1e-5 from
+    # both nu and kappa, where the Bethe residual (terms of size 1e5) bottoms
+    # out near 1e-7 in absolute terms, above BETHE_TOL
+    EXPECTED_UNRECOVERED = {(0.5, 2): [0.99995]}
+
+    def test_counts_match_the_enumeration_on_the_criterion_3_lines(self):
+        for omega0 in (0.13, 0.5, 0.77, 1.42, 2.23, 2.9):
+            for n in range(6):
+                pts = bethe.find_exceptional(n, {"omega": 1.0, "omega0": omega0, "g2": 0.01},
+                                             "g1", (0.02, 4.95))
+                n_cr, _ = weakpert.count_events(n, ModelParams(1.0, omega0, 1.0, 0.01))
+                assert len(pts) == n_cr, (omega0, n)
+                for pt in pts:
+                    assert pt.verified_gap < fock.GAP_TOL, (omega0, n, pt.params.g1)
+                    assert abs(pt.epsilon_at_crossing - n) < fock.INT_TOL
+                unrecovered = [(round(pt.params.g1, 5), pt.message) for pt in pts
+                               if not pt.verified]
+                assert unrecovered == [(g, "rapidity recovery failed") for g in
+                                       self.EXPECTED_UNRECOVERED.get((omega0, n), [])]
+
+    @pytest.mark.parametrize("free, fixed, free_range, rabi_at", [
+        # g1 < 0 raises in ModelParams, g1 = 0 has nu = 0, g1 = g2 is the Rabi line
+        ("g1", {"omega": 1.0, "omega0": 0.7, "g2": 0.2}, (-0.3, 3.7), 0.2),
+        # the exceptional-search line that starts on the Rabi line
+        ("g1", {"omega": 1.0, "omega0": 0.7, "g2": 0.2}, (0.2, 4.0), 0.2),
+        ("g2", {"omega": 1.0, "omega0": 0.7, "g1": 0.5}, (-0.3, 1.7), 0.5),
+        # omega <= 0 raises in ModelParams
+        ("omega", {"omega0": 0.7, "g1": 0.5, "g2": 0.1}, (-0.5, 3.5), None),
+        # omega0 = 0 gives kappa = 0, a valid point
+        ("omega0", {"omega": 1.0, "g1": 0.5, "g2": 0.1}, (-2.0, 2.0), None),
+        # omega0 = 0, where lambda- is no denominator; on the Rabi line every
+        # level is a crossing there, which is left to rabi_exceptional
+        ("g1", {"omega": 1.0, "omega0": 0.0, "g2": 0.2}, (-0.3, 3.7), 0.2),
+    ])
+    def test_ranges_through_invalid_values_match_parity_crossings(
+            self, free, fixed, free_range, rabi_at):
+        # The oracle runs on the valid part of the range: a coupling from 0.01,
+        # omega in t = 1/omega from omega = 0.08, which spreads out the points
+        # that crowd towards omega -> 0 (none at N <= 3 below omega = 0.1).
+        t_of = (lambda v: 1 / v) if free == "omega" else (lambda v: v)
+        lo, hi = {"omega": (1 / 3.5, 12.5), "omega0": free_range}.get(free, (0.01, free_range[1]))
+        ts = np.linspace(lo, hi, 200)
+        fock_x = parity_crossings(lambda t: ModelParams(**fixed, **{free: float(t_of(t))}),
+                                  ts, 3, n_max=60)
+        assert -1 not in fock_x
+        cell = (hi - lo) / 199
+        for n in range(4):
+            pts = bethe.find_exceptional(n, fixed, free, free_range)
+            assert all(pt.verified for pt in pts)
+            found = [t_of(getattr(pt.params, free)) for pt in pts]
+            want = [x for x in fock_x.get(n, [])
+                    if rabi_at is None or abs(x - rabi_at) > 1.5 * cell]
+            assert len(found) == len(want), (n, found, want)
+            for t in found:
+                assert min(abs(t - x) for x in want) < 1.5 * cell, (n, t)
+            for x in want:
+                assert min(abs(t - x) for t in found) < 1.5 * cell, (n, x)
 
 
 class TestBranches:
@@ -599,7 +626,7 @@ class TestRabiLine:
             assert n * l1 + (n + 1) * l2 == pytest.approx(n, rel=1e-9)
 
     def test_juddian_points_verified(self):
-        pts = bethe.rabi_exceptional(1, 1.0, 1.0, (0.5, 1.1), grid=150, n_max=160)
+        pts = bethe.rabi_exceptional(1, 1.0, 1.0, (0.5, 1.1), n_max=160)
         assert len(pts) == 1
         pt = pts[0]
         assert pt.verified
@@ -619,11 +646,25 @@ class TestRabiLine:
             assert pt.verified, pt.message
             assert pt.solution.residual_max < 1e-10
 
-    def test_zero_on_grid_point_reported_once(self):
-        # at delta = 0 the n = 0 condition 1 - 4 g^2 is exactly 0 on the
-        # middle grid point g = 0.5, which ends both grid cells
-        pts = bethe.rabi_exceptional(0, 1.0, 0.0, (0.25, 0.75), grid=3)
-        assert [pt.params.g1 for pt in pts] == [0.5]
+    def test_n0_point_reported_once(self):
+        # at delta = 0 the n = 0 condition 1 - 4 g^2 vanishes at g = 0.5 only
+        pts = bethe.rabi_exceptional(0, 1.0, 0.0, (0.25, 0.75))
+        assert len(pts) == 1
+        assert abs(pts[0].params.g1 - 0.5) < bethe.PARAM_TOL
+
+    def test_lambda_form_condition_changes_sign_at_every_point(self):
+        # The paper's Lambda-form Juddian condition stays tested now that the
+        # operator's eigenvalues locate the points: it changes sign within
+        # +-1e-6 g of every one.
+        for omega0 in (0.7, 1.0):
+            for n in range(1, 8):
+                pts = bethe.rabi_exceptional(n, 1.0, omega0, (0.05, 1.5))
+                assert pts, (omega0, n)
+                for pt in pts:
+                    g = pt.params.g1
+                    lo, hi = (bethe.rabi_condition(n, x, omega0)
+                              for x in (g - 1e-6 * g, g + 1e-6 * g))
+                    assert lo * hi < 0, (omega0, n, g)
 
 
 class TestEigenstates:
@@ -645,8 +686,7 @@ class TestEigenstates:
     def test_n1_displaced_single_excitation_states(self):
         # (a' - z1)|nu>-type doublet members at an n=1 point
         pts = bethe.find_exceptional(
-            1, {"omega": 1.0, "omega0": 0.7, "g2": 0.1}, "g1", (0.3, 0.5),
-            grid=60, n_max=160)
+            1, {"omega": 1.0, "omega0": 0.7, "g2": 0.1}, "g1", (0.3, 0.5), n_max=160)
         assert pts
         pt = pts[0]
         assert len(pt.solution.roots) == 1
@@ -660,8 +700,7 @@ class TestEigenstates:
 
     def test_n2_doublet_overlap(self):
         pts = bethe.find_exceptional(
-            2, {"omega": 1.0, "omega0": 0.7, "g2": 0.1}, "g1", (0.2, 1.2),
-            grid=120, n_max=160)
+            2, {"omega": 1.0, "omega0": 0.7, "g2": 0.1}, "g1", (0.2, 1.2), n_max=160)
         assert pts
         pt = pts[0]
         u_plus, u_minus = bethe.eigenstate_at_exceptional(pt, n_max=160)

@@ -331,3 +331,20 @@ def test_readme_commands_run(argv, tmp_path):
     assert lines[0].startswith("# {")
     assert json.loads(lines[0][2:])["mode"] == argv[1]
     assert lines[1].split(",")[0] in ("g1", "g2", "omega0", "n_eps")
+
+
+@pytest.mark.parametrize("argv", [a for a in _readme_commands()
+                                  if a[1] in ("exceptional", "rabi-markers")],
+                         ids=lambda argv: argv[1])
+def test_eigensolver_modes_byte_identical_across_runs_and_threads(argv, tmp_path):
+    # The points of both modes are eigenvalues of a fixed pencil: two runs
+    # at 2 threads and one at 1 give the same rows, byte for byte.
+    bodies = []
+    for i, threads in enumerate(("2", "2", "1")):
+        out = tmp_path / f"run{i}.csv"
+        args = list(argv)
+        args[args.index("-o") + 1] = str(out)
+        assert cli.main(args + ["--threads", threads]) == 0
+        bodies.append(out.read_bytes().split(b"\n", 1)[1])  # past the config echo
+    assert bodies[0] == bodies[1] == bodies[2]
+    assert bodies[0].count(b"\n") > 1
