@@ -372,6 +372,33 @@ class TestFindExceptional:
         with pytest.raises(ValueError):
             bethe.find_exceptional(0, {"omega": 1.0}, "g1", (0.1, 1.0))
 
+    @pytest.mark.parametrize("free, fixed, lo, hi, rabi_at", [
+        # g1 < 0 raises in ModelParams, g1 = 0 has nu = 0, g1 = g2 is the Rabi line
+        ("g1", {"omega": 1.0, "omega0": 0.7, "g2": 0.2}, -0.3, 3.7, 0.2),
+        # the exceptional-search line that starts on the Rabi line
+        ("g1", {"omega": 1.0, "omega0": 0.7, "g2": 0.2}, 0.2, 4.0, 0.2),
+        ("g2", {"omega": 1.0, "omega0": 0.7, "g1": 0.5}, -0.3, 1.7, 0.5),
+        # omega <= 0 raises in ModelParams
+        ("omega", {"omega0": 0.7, "g1": 0.5, "g2": 0.1}, -0.5, 3.5, None),
+        # omega0 = 0 gives kappa = 0, a valid point
+        ("omega0", {"omega": 1.0, "g1": 0.5, "g2": 0.1}, -2.0, 2.0, None),
+    ])
+    def test_grid_pass_equals_point_calls(self, free, fixed, lo, hi, rabi_at):
+        # One pass over the whole range, whose polynomial is fitted at nodes
+        # spread over all of it, finds each point where a call on a window of
+        # 1e-3 around that point alone does, within PARAM_TOL; no point lies
+        # on the Rabi line, which is left to rabi_exceptional.
+        total = 0
+        for n in range(5):
+            xs = [getattr(pt.params, free) for pt in bethe.find_exceptional(n, fixed, free, (lo, hi))]
+            total += len(xs)
+            for x in xs:
+                assert rabi_at is None or abs(x - rabi_at) > 1e-6, (n, x)
+                near = bethe.find_exceptional(n, fixed, free, (x - 1e-3, x + 1e-3))
+                assert len(near) == 1, (n, x)
+                assert abs(getattr(near[0].params, free) - x) < bethe.PARAM_TOL, (n, x)
+        assert total >= 4
+
     def test_lines_off_the_domain_give_no_point(self):
         # g1 = g2 with omega or omega0 free lies on the Rabi line throughout,
         # where kappa is undefined; g2 = 0 (a JC line) has nu = 0 throughout
@@ -415,6 +442,69 @@ class TestCompleteness:
                 missed = [round(x, 4) for x in fock_x[n]
                           if not any(abs(g - x) < 1.5 * cell for g in found)]
                 assert missed == self.EXPECTED_MISSES.get((g2, n), []), (g2, n)
+
+    # (g2, N) -> g1 of each point on the exceptional-search lines that the
+    # grid scan, refined by brentq, returned before the eigenvalue solve
+    # replaced it (126 points, to 12 decimals)
+    ONE_PASS_GRID_POINTS = {
+        (0.1, 0): [1.187434208704],
+        (0.1, 1): [0.377605573870, 1.836008355647, 2.432383059585],
+        (0.1, 2): [0.289651048956, 0.985882407985, 2.320162008246,
+            2.990721134136, 3.172786393817],
+        (0.1, 3): [0.243775710521, 0.809383447796, 2.717713315752,
+            3.445808359524, 3.636075405063, 3.767851812659],
+        (0.1, 4): [0.214325476702, 0.705517132777, 1.224687855726,
+            1.822794619868, 3.063842242790, 3.826374769285],
+        (0.1, 5): [0.634033044932, 1.089909614904, 1.580931623542,
+            2.157843355500, 3.374577088640],
+        (0.1, 6): [0.580689997652, 0.993700293143, 1.425663070542,
+            1.898593960902, 2.460411863791, 3.658985831322],
+        (0.1, 7): [0.538809419006, 0.919977186197, 1.312196068965,
+            1.728468191264, 2.188161569537, 2.738476849828, 3.922812571527],
+        (0.1, 8): [0.504747803927, 0.860914981929, 1.223668051022,
+            1.602080305429, 2.006628428915, 2.456030497755, 2.997190642691],
+        (0.1, 9): [0.476314003848, 0.812109361866, 1.151719623460,
+            1.502173215048, 1.870101185366, 2.265382138334, 2.706470325573,
+            3.240114521805],
+        (0.1, 10): [0.452096242070, 0.770840682580, 1.091563856087,
+            1.420100924851, 1.761098501489, 2.120623449916, 2.508321183740,
+            2.942505382242, 3.469833392358],
+        (0.2, 0): [1.200000000000],
+        (0.2, 1): [0.373666608475, 1.814793559018, 2.467163878598],
+        (0.2, 2): [0.284080783976, 0.974240333005, 2.308850856728,
+            2.969860591960, 3.227892449793],
+        (0.2, 3): [0.236413027712, 0.796135716708, 1.434580742833,
+            2.709872300012, 3.426742886138, 3.626016235239, 3.833834433687],
+        (0.2, 4): [0.690957421486, 1.216912253879, 1.817454890082,
+            3.057506695505, 3.814169681475],
+        (0.2, 5): [0.618396629345, 1.081350811699, 1.575228404954,
+            2.153296296951, 3.369123496198],
+        (0.2, 6): [0.564166542665, 0.984384567644, 1.419554325114,
+            1.893844449714, 2.456360583932, 3.654128403993],
+        (0.2, 7): [0.521555299019, 0.909935345597, 1.305680775877,
+            1.723465536520, 2.183991051501, 2.734776597977, 3.918392102535],
+        (0.2, 8): [0.486894585079, 0.850176497936, 1.216754972550,
+            1.596813922724, 2.002286059527, 2.452260325027, 2.993757062096],
+        (0.2, 9): [0.457974124579, 0.800701261413, 1.144419891333,
+            1.496643854664, 1.865571849450, 2.261490239988, 2.702998372567,
+            3.236893090620],
+        (0.2, 10): [0.433366898848, 0.758787579136, 1.083888705234,
+            1.414313253247, 1.756378553539, 2.116592665807, 2.504760936157,
+            2.939266801544, 3.466786345516],
+    }
+
+    def test_points_unchanged_by_the_one_pass_grid(self):
+        # every point of the grid scan comes back within PARAM_TOL, and the
+        # only others are the two crossings the scan missed
+        new = {(0.1, 3): [1.4416], (0.2, 4): [0.2050]}
+        for (g2, n), old in self.ONE_PASS_GRID_POINTS.items():
+            found = [pt.params.g1 for pt in bethe.find_exceptional(
+                n, {"omega": 1.0, "omega0": 0.7, "g2": g2}, "g1", (0.2, 4.0))]
+            for g in old:
+                assert min(abs(g - x) for x in found) < bethe.PARAM_TOL, (g2, n, g)
+            extra = [round(x, 4) for x in found if min(abs(g - x) for g in old) > 1e-6]
+            assert extra == new.get((g2, n), []), (g2, n)
+            assert len(found) == len(old) + len(extra), (g2, n)
 
     # (omega0, N) -> g1 of each point on a criterion-3 line that comes back
     # "rapidity recovery failed": at (0.5, 2) one root of chi lies 1e-5 from
@@ -646,8 +736,9 @@ class TestRabiLine:
             assert pt.verified, pt.message
             assert pt.solution.residual_max < 1e-10
 
-    def test_n0_point_reported_once(self):
-        # at delta = 0 the n = 0 condition 1 - 4 g^2 vanishes at g = 0.5 only
+    def test_zero_on_grid_point_reported_once(self):
+        # at delta = 0 the n = 0 condition 1 - 4 g^2 vanishes at g = 0.5 only,
+        # the middle of the range
         pts = bethe.rabi_exceptional(0, 1.0, 0.0, (0.25, 0.75))
         assert len(pts) == 1
         assert abs(pts[0].params.g1 - 0.5) < bethe.PARAM_TOL
