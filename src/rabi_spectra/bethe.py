@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import eig
+from scipy.linalg import eig, eigh_tridiagonal
 # not called here; imported because the benchmark tracer wraps it (ROADMAP item 1)
 from scipy.optimize import brentq  # noqa: F401
 
@@ -569,19 +569,20 @@ def _params_with(fixed: dict, free: str, value: float) -> ModelParams:
 
 
 def _fock_gap_at(p: ModelParams, n: int, n_max: int) -> tuple[float, float]:
-    """(gap, eps at the pair) for the adjacent pair closest to eps = n."""
+    """(|eps_even - eps_odd|, their midpoint) for the level of each parity
+    chain nearest eps = n, each found by bisection in the window
+    (n - 1/2, n + 1/2]; (inf, nan) when a chain has no level there."""
     lam_p = reduce(p).lambda_plus
-    # Enough levels to bracket eps = n comfortably.
-    k = 2 * (n + 3) + int(2 * lam_p) + 8
-    k = min(k, 2 * (n_max + 1))
-    eps = fock._eps_levels(p, n_max, k)
-    gaps = np.diff(eps)
-    mids = 0.5 * (eps[:-1] + eps[1:])
-    cand = np.where(np.abs(mids - n) < 0.5)[0]
-    if len(cand) == 0:
-        return math.inf, math.nan
-    best = cand[np.argmin(gaps[cand])]
-    return float(gaps[best]), float(mids[best])
+    window = ((n - 0.5 - lam_p) * p.omega, (n + 0.5 - lam_p) * p.omega)
+    nearest = []
+    for d, e in fock._parity_chains(p, n_max):
+        eps = eigh_tridiagonal(d, e, eigvals_only=True, select="v",
+                               select_range=window) / p.omega + lam_p
+        if len(eps) == 0:
+            return math.inf, math.nan
+        nearest.append(eps[np.argmin(np.abs(eps - n))])
+    even, odd = nearest
+    return float(abs(even - odd)), float(0.5 * (even + odd))
 
 
 def _verify_point(
@@ -592,8 +593,8 @@ def _verify_point(
     n_max: int,
     recovered: bool = True,
 ) -> ExceptionalPoint:
-    """Fock check of a candidate at eps = n: the adjacent pair closest to n
-    must be degenerate within GAP_TOL at an integer within INT_TOL. A
+    """Fock check of a candidate at eps = n: the even and odd levels nearest
+    n must be degenerate within GAP_TOL at an integer within INT_TOL. A
     candidate whose rapidities were not recovered stays unverified."""
     gap, eps_at = _fock_gap_at(p, n, n_max)
     msgs = [] if recovered else ["rapidity recovery failed"]
@@ -1001,10 +1002,6 @@ def rabi_exceptional(
 # Exceptional eigenstates
 # ---------------------------------------------------------------------------
 
-def _poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.convolve(a, b)
-
-
 def _poly_eval_flip(c: np.ndarray) -> np.ndarray:
     """Coefficients of P(-z) from those of P(z) (ascending order)."""
     out = c.copy()
@@ -1031,7 +1028,7 @@ def bargmann_doublet_polynomials(
     e = n - lp
     chi = np.array([1.0])
     for z_i in roots:
-        chi = _poly_mul(chi, np.array([-z_i, 1.0]))
+        chi = np.convolve(chi, [-z_i, 1.0])
     chi = np.real_if_close(chi, tol=1e8).astype(float)
     dchi = chi[1:] * np.arange(1, len(chi))
     # numerator ((lp + nu^2)/nu z + e - nu^2) chi - (z - nu) chi'

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +27,7 @@ from .core import ModelParams, reduce
 
 DEFAULT_N_MAX = 200
 CONV_TOL = 1e-9       # per-level drift tolerance (units of omega)
-GAP_TOL = 1e-7        # below this a gap minimum counts as a crossing (units of omega)
+GAP_TOL = 1e-7        # an exact crossing's level gap is below this (units of omega)
 INT_TOL = 1e-6
 # Up to this many levels per chain, bisection (LAPACK stebz) is cheaper than
 # solving the whole chain (sterf): at n_max 200 one bisected level costs
@@ -68,13 +68,14 @@ class SpectrumResult:
 
 @dataclass(frozen=True)
 class CrossingEvent:
+    """A refined gap minimum of two adjacent levels on a g1 scan: "crossing"
+    when their N_ex parities differ (any pair when g2 = 0, where N_ex is
+    conserved), else "avoided". caveat is always False."""
     kind: str                 # "crossing" | "avoided"
     g1_location: float
     epsilon_at_event: float
     gap: float
     level_pair: tuple[int, int]
-    # Exponentially small strong-coupling splittings are indistinguishable
-    # from exact degeneracies below GAP_TOL; flagged rather than hidden.
     caveat: bool = False
 
 
@@ -123,11 +124,12 @@ def _parity_chains(
     return even, odd
 
 
-def _eps_levels(p: ModelParams, n_max: int, k: int) -> np.ndarray:
-    """Lowest k shifted eigenvalues eps = E/omega + lambda+, no certification.
+def _parity_levels(p: ModelParams, n_max: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest k shifted eigenvalues eps = E/omega + lambda+, no certification,
+    with the chain each comes from (0 even, 1 odd N_ex parity).
 
     Solves the two parity chains and merges their lowest min(k, n_max+1)
-    levels; equals the lowest k eigenvalues of `build(p, n_max)`.
+    levels; the levels equal the lowest k eigenvalues of `build(p, n_max)`.
     """
     chains = _parity_chains(p, n_max)
     if k < 1 or k > 2 * (n_max + 1):
@@ -141,8 +143,14 @@ def _eps_levels(p: ModelParams, n_max: int, k: int) -> np.ndarray:
         else:
             levels.append(eigh_tridiagonal(d, e, eigvals_only=True,
                                            lapack_driver="sterf")[:j])
-    evals = np.sort(np.concatenate(levels))[:k]
-    return evals / p.omega + reduce(p).lambda_plus
+    evals = np.concatenate(levels)
+    order = np.argsort(evals, kind="stable")[:k]
+    return evals[order] / p.omega + reduce(p).lambda_plus, order // j
+
+
+def _eps_levels(p: ModelParams, n_max: int, k: int) -> np.ndarray:
+    """The levels of `_parity_levels` without their parities."""
+    return _parity_levels(p, n_max, k)[0]
 
 
 def diagonalize(h: TruncatedHamiltonian, n_keep: int) -> SpectrumResult:
@@ -276,8 +284,10 @@ def scan_crossings(
     """Locate level crossings and avoided crossings along a g1 scan.
 
     Every interior local minimum of each adjacent-level gap eps_{i+1}-eps_i
-    is refined by golden-section search down to refine_tol in g1, then
-    classified: gap < GAP_TOL*omega -> crossing, else avoided.
+    is refined by golden-section search down to refine_tol in g1; minima
+    that drift to the bracket edge are dropped. Opposite N_ex parities at
+    the minimum cross exactly, equal ones repel (avoided), except on a
+    g2 = 0 (JC) line, where N_ex is conserved and every minimum crosses.
     """
     g1_values = np.asarray(list(g1_grid), dtype=float)
     if len(g1_values) < 3 or np.any(np.diff(g1_values) <= 0):
@@ -285,11 +295,9 @@ def scan_crossings(
     eps = _scan_levels(p_template, g1_values, n_levels, n_max)
     gaps = np.diff(eps, axis=1)  # (n_grid, n_levels-1)
     events: list[CrossingEvent] = []
-    omega = p_template.omega
 
     def gap_at(g1: float, pair: int) -> float:
-        p = ModelParams(p_template.omega, p_template.omega0, g1, p_template.g2)
-        eps = _eps_levels(p, n_max, n_levels)
+        eps = _eps_levels(replace(p_template, g1=g1), n_max, n_levels)
         return float(eps[pair + 1] - eps[pair])
 
     for pair in range(n_levels - 1):
@@ -298,23 +306,17 @@ def scan_crossings(
         for idx in interior:
             lo, hi = g1_values[idx - 1], g1_values[idx + 1]
             g1_min, gap_min = _golden_min(lambda x: gap_at(x, pair), lo, hi, refine_tol)
-            # Skip minima that drifted to the bracket edge (not a local min).
             if g1_min - lo < 2 * refine_tol or hi - g1_min < 2 * refine_tol:
-                if gap_min >= GAP_TOL * omega:
-                    continue
-            p_min = ModelParams(p_template.omega, p_template.omega0, g1_min, p_template.g2)
-            eps_min = _eps_levels(p_min, n_max, n_levels)
-            eps_at = 0.5 * (eps_min[pair] + eps_min[pair + 1])
-            kind = "crossing" if gap_min < GAP_TOL * omega else "avoided"
-            beta = 0.5 * (g1_min + p_template.g2) / p_template.omega
+                continue
+            eps_min, parity = _parity_levels(replace(p_template, g1=g1_min), n_max, n_levels)
+            crossing = p_template.g2 == 0 or parity[pair] != parity[pair + 1]
             events.append(
                 CrossingEvent(
-                    kind=kind,
+                    kind="crossing" if crossing else "avoided",
                     g1_location=float(g1_min),
-                    epsilon_at_event=float(eps_at),
+                    epsilon_at_event=float(0.5 * (eps_min[pair] + eps_min[pair + 1])),
                     gap=float(gap_min),
                     level_pair=(pair, pair + 1),
-                    caveat=(kind == "crossing" and beta > 1.0),
                 )
             )
     events.sort(key=lambda ev: (ev.g1_location, ev.level_pair))

@@ -399,6 +399,20 @@ class TestFindExceptional:
                 assert abs(getattr(near[0].params, free) - x) < bethe.PARAM_TOL, (n, x)
         assert total >= 4
 
+    def test_fock_gap_at_off_a_point_pairs_the_nearest_even_and_odd_levels(self):
+        # no exceptional point here: each chain's level nearest eps = n,
+        # not the closest adjacent pair (at n = 1 and 6 those differ)
+        p = ModelParams(1.0, 0.7, 2.0, 0.1)
+        blocks = fock.parity_blocks(fock.build(p, 200))
+        levels = [np.linalg.eigvalsh(b) / p.omega + reduce(p).lambda_plus for b in blocks]
+        for n in (1, 3, 6):
+            even, odd = (lv[np.argmin(np.abs(lv - n))] for lv in levels)
+            assert max(abs(even - n), abs(odd - n)) < 0.5
+            gap, eps_at = bethe._fock_gap_at(p, n, 200)
+            assert gap > 0.1
+            assert abs(gap - abs(even - odd)) < 1e-12
+            assert abs(eps_at - 0.5 * (even + odd)) < 1e-12
+
     def test_lines_off_the_domain_give_no_point(self):
         # g1 = g2 with omega or omega0 free lies on the Rabi line throughout,
         # where kappa is undefined; g2 = 0 (a JC line) has nu = 0 throughout

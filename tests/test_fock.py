@@ -111,12 +111,20 @@ def test_parity_block_oracle_randomized():
         assert np.max(np.abs(merged - full)) < 1e-12
 
 
+def dense_parity_eps(p: ModelParams, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """All shifted levels from the dense matrix, merged over its parity
+    blocks, and the parity (0 even, 1 odd) of each."""
+    be, bo = fock.parity_blocks(fock.build(p, n_max))
+    levels = [eigh(be, eigvals_only=True), eigh(bo, eigvals_only=True)]
+    merged = np.concatenate(levels)
+    order = np.argsort(merged, kind="stable")
+    parity = np.repeat([0, 1], [len(lv) for lv in levels])
+    return merged[order] / p.omega + reduce(p).lambda_plus, parity[order]
+
+
 def dense_eps(p: ModelParams, n_max: int) -> np.ndarray:
     """All shifted levels from the dense matrix, merged over its parity blocks."""
-    be, bo = fock.parity_blocks(fock.build(p, n_max))
-    merged = np.sort(np.concatenate([
-        eigh(be, eigvals_only=True), eigh(bo, eigvals_only=True)]))
-    return merged / p.omega + reduce(p).lambda_plus
+    return dense_parity_eps(p, n_max)[0]
 
 
 @pytest.mark.parametrize("couplings", ["random", "g1=0", "g2=0", "g1=g2"])
@@ -134,12 +142,18 @@ def test_eps_levels_match_dense_oracle(couplings):
         elif couplings == "g1=g2":
             g2 = g1
         p = ModelParams(omega, omega0, g1, g2)
-        want = dense_eps(p, n_max)
+        want, want_parity = dense_parity_eps(p, n_max)
+        # a parity label is fixed by the order only where neighbours differ
+        apart = np.diff(want, prepend=-np.inf, append=np.inf) > 1e-9
+        apart = apart[:-1] & apart[1:]
         for k in (1, fock._BISECT_MAX, fock._BISECT_MAX + 1,
                   n_max + 1, n_max + 2, 2 * (n_max + 1)):
             got = fock._eps_levels(p, n_max, k)
             assert got.shape == (k,)
             assert np.max(np.abs(got - want[:k])) < 1e-12
+            levels, parity = fock._parity_levels(p, n_max, k)
+            assert np.array_equal(levels, got)
+            assert np.array_equal(parity[apart[:k]], want_parity[:k][apart[:k]])
 
 
 def test_eps_levels_rejects_bad_sizes():
@@ -204,12 +218,37 @@ def test_scan_crossings_n0_curve():
 
 
 def test_scan_crossings_jc_all_exact():
-    # g2 = 0: conserved N_ex means no repulsion between sectors
+    # g2 = 0: conserved N_ex means no repulsion between sectors, so levels
+    # of one parity cross too
     p = ModelParams(1.0, 1.0, 0.0, 0.0)
-    grid = np.linspace(1.2, 1.6, 41)
-    events = fock.scan_crossings(p, grid, n_levels=4, n_max=120)
+    events = fock.scan_crossings(p, np.linspace(1.2, 1.6, 41), n_levels=4, n_max=120)
     assert events
     assert all(ev.kind == "crossing" for ev in events)
+    events = fock.scan_crossings(p, np.linspace(0.0, 3.0, 301), n_levels=12, n_max=120)
+    assert len(events) == 29
+    assert all(ev.kind == "crossing" for ev in events)
+    same = 0
+    for ev in events:
+        _, parity = dense_parity_eps(ModelParams(1.0, 1.0, ev.g1_location, 0.0), 120)
+        same += parity[ev.level_pair[0]] == parity[ev.level_pair[1]]
+    assert same == 14
+
+
+def test_scan_crossings_classified_by_parity_at_strong_coupling():
+    # exponentially small avoided gaps at half-integer eps (1e-10 .. 1e-8)
+    # pair levels of one parity: they repel, however small the gap
+    p = ModelParams(1.0, 0.77, 1.0, 0.01)
+    events = fock.scan_crossings(p, np.linspace(1.95, 2.05, 21), 16, 120)
+    for g1, eps in ((1.99391, 4.5), (2.04624, 6.5)):
+        ev, = [ev for ev in events if abs(ev.g1_location - g1) < 1e-5]
+        assert ev.kind == "avoided"
+        assert ev.epsilon_at_event == pytest.approx(eps, abs=1e-6)
+        assert ev.gap < 1e-7
+    for ev in events:
+        _, parity = dense_parity_eps(ModelParams(1.0, 0.77, ev.g1_location, 0.01), 120)
+        i, j = ev.level_pair
+        assert (ev.kind == "crossing") == (parity[i] != parity[j]), ev
+        assert not ev.caveat
 
 
 def test_scan_crossings_avoided_near_half_integer():
