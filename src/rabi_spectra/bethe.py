@@ -40,8 +40,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import eig, eigh_tridiagonal
-# not called here; imported because the benchmark tracer wraps it (ROADMAP item 1)
-from scipy.optimize import brentq  # noqa: F401
 
 from . import fock
 from .core import ModelParams, ReducedParams, reduce
@@ -57,6 +55,17 @@ NULL_TOL = 1e-9
 # (n, kappa, nu) with n = 1..10: <= 7e-11 for the pole-collapsed eigenvalues
 # of `_branch_eigenvalues`, >= 6.9e-3 for the Bethe branches among them
 COLLAPSE_TOL = 1e-8
+
+
+def brentq(*args, **kwargs):
+    """`scipy.optimize.brentq`, imported on first call. Nothing here calls
+    it: it exists only because the benchmark tracer wraps `bethe.brentq`
+    (perfbench/tracing.py LAYERS), and is deleted together with that layer
+    (ROADMAP item 1). Importing scipy.optimize at module level would add a
+    third to the package's import time."""
+    from scipy.optimize import brentq
+
+    return brentq(*args, **kwargs)
 
 
 class RabiLimit(ValueError):
@@ -81,22 +90,6 @@ class NotVerified(RuntimeError):
 
 
 @dataclass(frozen=True)
-class OdeCoefficients:
-    """Coefficients of the second-order Bargmann ODE.
-
-    D2(z) = d0 + d1 z + d2 z^2 over the pole set rho = (nu, -nu, kappa) with
-    exponent parameters nu_s = (1-eps, -eps, -1) and nu0 = -2 nu.
-    """
-
-    d0: float
-    d1: float
-    d2: float
-    rho: tuple[float, float, float]
-    nu_s: tuple[float, float, float]
-    nu0: float
-
-
-@dataclass(frozen=True)
 class BetheSolution:
     n: int
     roots: np.ndarray
@@ -118,22 +111,9 @@ class ExceptionalPoint:
     message: str = ""
 
 
-def ode_coefficients(r: ReducedParams, epsilon: float) -> OdeCoefficients:
-    """D2 coefficients and pole data of the Bargmann ODE at shifted energy eps."""
-    if r.rabi_limit or r.kappa is None:
-        raise RabiLimit("ode_coefficients needs lambda- != 0; use the Rabi-limit path")
-    d0, d1, d2 = _d_coefficients(r, epsilon)
-    nu = r.nu
-    return OdeCoefficients(
-        d0=d0, d1=d1, d2=d2,
-        rho=(nu, -nu, r.kappa),
-        nu_s=(1 - epsilon, -epsilon, -1.0),
-        nu0=-2 * nu,
-    )
-
-
 def _d_coefficients(r: ReducedParams, epsilon: float) -> tuple[float, float, float]:
-    """(d0, d1, d2) of D2; r must be off the Rabi line."""
+    """(d0, d1, d2) of the Bargmann ODE's D2(z) = d0 + d1 z + d2 z^2 at
+    shifted energy eps; r must be off the Rabi line."""
     k, nu, dl, lp = r.kappa, r.nu, r.delta, r.lambda_plus
     e = epsilon - lp
     d0 = k * (dl * dl - epsilon * epsilon + 2 * epsilon * lp - lp * lp + lp + nu * nu + nu ** 4) \
@@ -195,23 +175,13 @@ def residual_bae(
     exceptional condition eps = n these are the integer degeneracies.
     """
     if r.kappa is None:
-        raise RabiLimit("residual_bae on the Rabi line: use residual_bae_rabi")
+        raise RabiLimit("residual_bae on the Rabi line, where kappa is undefined")
     z = np.asarray(roots, dtype=complex)
     if len(z) == 0:
         return np.zeros(0)
     levels = (r.nu, -r.nu, r.kappa)
     _check_poles(z, levels)
     return _bae_residual(z, levels, (epsilon - 1.0, epsilon, 1.0), r.nu)
-
-
-def residual_bae_rabi(roots: Sequence[complex], nu: float, epsilon: float) -> np.ndarray:
-    """Rabi-line Bethe residuals: the kappa pole is absent."""
-    z = np.asarray(roots, dtype=complex)
-    if len(z) == 0:
-        return np.zeros(0)
-    levels = (nu, -nu)
-    _check_poles(z, levels)
-    return _bae_residual(z, levels, (epsilon - 1.0, epsilon), nu)
 
 
 def _newton_bae(
@@ -489,7 +459,7 @@ def _hs_operator(
 
 def _exceptional_operator(n: int, r: ReducedParams) -> list[list[float]]:
     """`_hs_operator` at eps = n: levels (nu, -nu, kappa), strengths
-    (n-1, n, 1) and V = -D2 (`ode_coefficients`); n + 3 rows."""
+    (n-1, n, 1) and V = -D2 (`_d_coefficients`); n + 3 rows."""
     d0, d1, d2 = _d_coefficients(r, float(n))
     return _hs_operator((r.nu, -r.nu, r.kappa), (n - 1.0, float(n), 1.0), r.nu,
                         (-d0, -d1, -d2), n)
@@ -613,7 +583,7 @@ def _in_domain(r: ReducedParams) -> bool:
 
 
 def _real_eigenvalues(
-    sample: Callable[[float], np.ndarray], degree: int, lo: float, hi: float,
+    sample: Callable[[float], np.ndarray | None], degree: int, lo: float, hi: float,
 ) -> np.ndarray:
     """Every real x in [lo, hi] where the matrix polynomial sample(x), of
     the given degree in x, loses rank, ascending.
@@ -629,7 +599,8 @@ def _real_eigenvalues(
     those of a real pencil a zero imaginary part), each refined by one
     Newton step on the exact sample: near omega -> 0 a fitted eigenvalue
     was found 6e-9 off (relative), too far for `_has_null_vector`; the step
-    leaves it below 1e-13.
+    leaves it below 1e-13. Where sample(x) is None (the operator is
+    undefined there) a candidate is kept unrefined.
     """
     k = degree + 2 - degree % 2
     t = np.cos(np.pi * (np.arange(k) + 0.5) / k)
@@ -659,10 +630,12 @@ def _real_eigenvalues(
     dc = np.polynomial.polynomial.polyder(c)
     roots = []
     for tk in (alpha[real] / beta[real]).real:
-        # sigma_min of the sample over its rate along the singular vectors,
-        # taken from the fitted derivative
-        u, sv, vt = np.linalg.svd(square(sample(x_of(tk))))
-        tk -= sv[-1] / (u[:, -1] @ np.polynomial.polynomial.polyval(tk, dc) @ vt[-1])
+        at = sample(x_of(tk))
+        if at is not None:
+            # sigma_min of the sample over its rate along the singular
+            # vectors, taken from the fitted derivative
+            u, sv, vt = np.linalg.svd(square(at))
+            tk -= sv[-1] / (u[:, -1] @ np.polynomial.polynomial.polyval(tk, dc) @ vt[-1])
         if abs(tk) <= 1:
             roots.append(x_of(tk))
     return np.sort(roots)
@@ -704,13 +677,16 @@ def find_exceptional(
     def params(x: float) -> ModelParams:
         return _params_with(fixed, free, float(x * x if root else x))
 
-    def sample(x: float) -> np.ndarray:
+    def sample(x: float) -> np.ndarray | None:
         # lambda- clears kappa = delta nu / lambda- and delta lambda+ / lambda-
         # in D2; it is constant on an omega0 line, and at omega0 = 0 there is
         # nothing to clear (it would only add a rank-loss point on the Rabi line)
         p = params(x)
+        r = reduce(p)
+        if r.kappa is None:
+            return None  # on the Rabi line; `_in_domain` rejects the candidate
         lam = p.g1 ** 2 - p.g2 ** 2 if fixed.get("omega0") else 1.0
-        return lam * p.omega ** 4 * np.array(_exceptional_operator(n, reduce(p))[:-1])
+        return lam * p.omega ** 4 * np.array(_exceptional_operator(n, r)[:-1])
 
     degree = 12 if root else 4 if free == "omega" else 3
     points: list[ExceptionalPoint] = []

@@ -10,7 +10,8 @@ import numpy as np
 from scipy.linalg import eigh
 
 from rabi_spectra import fock
-from rabi_spectra.bethe import RabiLimit, SingularSystem, _check_poles
+from rabi_spectra.bethe import (RabiLimit, SingularSystem, _bae_residual, _check_poles,
+                                _d_coefficients)
 from rabi_spectra.core import ModelParams, ReducedParams, reduce
 
 
@@ -27,6 +28,46 @@ def laguerre_direct_sum(n: int, alpha: int, x: float) -> float:
             binom *= Fraction(alpha + i + j, j)
         total += (-1) ** i * binom * xf ** i / math.factorial(i)
     return float(total)
+
+
+@dataclass(frozen=True)
+class OdeCoefficients:
+    """Coefficients of the second-order Bargmann ODE.
+
+    D2(z) = d0 + d1 z + d2 z^2 over the pole set rho = (nu, -nu, kappa) with
+    exponent parameters nu_s = (1-eps, -eps, -1) and nu0 = -2 nu.
+    """
+
+    d0: float
+    d1: float
+    d2: float
+    rho: tuple[float, float, float]
+    nu_s: tuple[float, float, float]
+    nu0: float
+
+
+def ode_coefficients(r: ReducedParams, epsilon: float) -> OdeCoefficients:
+    """D2 coefficients and pole data of the Bargmann ODE at shifted energy eps."""
+    if r.rabi_limit or r.kappa is None:
+        raise RabiLimit("ode_coefficients needs lambda- != 0; use the Rabi-limit path")
+    d0, d1, d2 = _d_coefficients(r, epsilon)
+    nu = r.nu
+    return OdeCoefficients(
+        d0=d0, d1=d1, d2=d2,
+        rho=(nu, -nu, r.kappa),
+        nu_s=(1 - epsilon, -epsilon, -1.0),
+        nu0=-2 * nu,
+    )
+
+
+def residual_bae_rabi(roots: Sequence[complex], nu: float, epsilon: float) -> np.ndarray:
+    """Rabi-line Bethe residuals: the kappa pole is absent."""
+    z = np.asarray(roots, dtype=complex)
+    if len(z) == 0:
+        return np.zeros(0)
+    levels = (nu, -nu)
+    _check_poles(z, levels)
+    return _bae_residual(z, levels, (epsilon - 1.0, epsilon), nu)
 
 
 def lambda_linear_solve_n1(Z1: float, kappa: float, nu: float) -> tuple[float, float]:

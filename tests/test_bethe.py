@@ -5,7 +5,8 @@ import pytest
 
 from oracles import (bae_residual_loop, hierarchy_closure_chain, hierarchy_residual,
                      hierarchy_terms, lambda_from_roots, lambda_linear_matrix,
-                     lambda_linear_solve_n1, lambda_scaled_derivative, parity_crossings)
+                     lambda_linear_solve_n1, lambda_scaled_derivative, ode_coefficients,
+                     parity_crossings, residual_bae_rabi)
 from rabi_spectra import bethe, fock, weakpert
 from rabi_spectra.core import ModelParams, ReducedParams, invert, reduce
 
@@ -36,12 +37,12 @@ class TestOdeCoefficients:
             r = reduced(rng.uniform(0.2, 1.5), rng.uniform(0.1, 1.0),
                         rng.uniform(0.2, 2.0))
             eps = rng.uniform(-1, 5)
-            assert bethe.ode_coefficients(r, eps).d2 == pytest.approx(2 * r.nu * eps)
+            assert ode_coefficients(r, eps).d2 == pytest.approx(2 * r.nu * eps)
 
     def test_matches_raw_cubic_coefficients(self):
         r = reduce(ModelParams(1.0, 1.0, 1.3, 0.4))
         for eps in (2.0, 0.7, -0.5):
-            got = bethe.ode_coefficients(r, eps)
+            got = ode_coefficients(r, eps)
             c0, c1, c2 = appendix_coeffs(r, eps)
             assert got.d0 == pytest.approx(c0, rel=1e-13)
             assert got.d1 == pytest.approx(c1, rel=1e-13)
@@ -49,11 +50,11 @@ class TestOdeCoefficients:
 
     def test_eps_zero(self):
         r = reduced(0.5, 0.4)
-        assert bethe.ode_coefficients(r, 0.0).d2 == 0.0
+        assert ode_coefficients(r, 0.0).d2 == 0.0
 
     def test_pole_data(self):
         r = reduced(0.5, 0.4, 1.1)
-        c = bethe.ode_coefficients(r, 3.0)
+        c = ode_coefficients(r, 3.0)
         assert c.rho == (0.4, -0.4, 0.5)
         assert c.nu_s == (-2.0, -3.0, -1.0)
         assert c.nu0 == -0.8
@@ -66,7 +67,7 @@ class TestOdeCoefficients:
 
     def test_rabi_limit_raises(self):
         with pytest.raises(bethe.RabiLimit):
-            bethe.ode_coefficients(reduce(ModelParams(1, 1, 1, 1)), 1.0)
+            ode_coefficients(reduce(ModelParams(1, 1, 1, 1)), 1.0)
 
 
 class TestResidualBae:
@@ -422,6 +423,14 @@ class TestFindExceptional:
             for n in range(3):
                 assert bethe.find_exceptional(n, fixed, free, (0.1, 2.0)) == []
 
+    def test_candidate_on_the_rabi_line_is_not_refined_and_not_kept(self):
+        # g2 is the eps = 3 Juddian g of rabi_exceptional(2, 1, 0.7, ...) as
+        # rabi-markers prints it; one fitted candidate's Newton step would
+        # sample the operator at g1 = g2, where kappa is undefined
+        g2 = 0.23185540302270555
+        pts = bethe.find_exceptional(3, {"omega": 1.0, "omega0": 0.7, "g2": g2}, "g1", (0.2, 0.26))
+        assert all(bethe._in_domain(pt.reduced) for pt in pts)
+
     def test_n8_point_near_kappa_eq_nu_verified(self):
         # 0.02 from kappa = nu, where the Lambda-form recovery failed and the
         # point was dropped; the null vector of the operator recovers it.
@@ -737,7 +746,7 @@ class TestRabiLine:
         assert pt.n == 2  # eps = n + 1
         assert pt.verified_gap < 1e-7
         assert abs(pt.epsilon_at_crossing - 2) < 1e-6
-        res = bethe.residual_bae_rabi(pt.solution.roots, pt.reduced.nu, 2.0)
+        res = residual_bae_rabi(pt.solution.roots, pt.reduced.nu, 2.0)
         assert np.max(np.abs(res)) < 1e-10
 
     def test_juddian_points_near_the_jc_end_verified(self):

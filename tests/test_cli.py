@@ -302,6 +302,19 @@ def test_n_max_level_alias_removed(capsys):
     assert exc.value.code == 2
 
 
+def test_exceptional_row_on_a_juddian_point_exits_0(capsys):
+    # the first g2 is a Juddian point, where one search candidate lands on
+    # the Rabi line; the run goes on to the next row
+    code, out = run_cli([
+        "--mode", "exceptional", "--n", "3", "--omega", "1", "--omega0", "0.7",
+        "--g2-range", "0.23185540302270555:0.3:2", "--free", "g1", "--free-range", "0.2:0.26:2",
+    ], capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[2:]]
+    assert [float(r[0]) for r in rows] == [0.3]
+    assert all(int(r[4]) == 1 for r in rows)
+
+
 def test_rabi_markers_mode(capsys):
     code, out = run_cli([
         "--mode", "rabi-markers", "--omega", "1", "--omega0", "1",
