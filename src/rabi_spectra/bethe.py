@@ -1000,6 +1000,8 @@ def bargmann_doublet_polynomials(
     returned as ascending coefficient arrays (both degree n) with the
     displacement e^(-nu z) factored out.
     """
+    if r.rabi_limit:
+        raise RabiLimit("Juddian point (lambda- = 0): its two-pole doublet form is not built")
     nu, kappa, lp, lm = r.nu, r.kappa, r.lambda_plus, r.lambda_minus
     e = n - lp
     chi = np.array([1.0])
@@ -1042,6 +1044,8 @@ def eigenstate_at_exceptional(
     Built from the Bargmann solution: one member displaces by -nu with spin
     polynomials (P_plus, P_minus), the other is its parity image displacing
     by +nu. Generalized cat states are their normalized sum and difference.
+    Raises RabiLimit at a Juddian point (g1 = g2, from `rabi_exceptional`),
+    whose doublet needs the two-pole form, which is not built.
     """
     if not pt.verified:
         raise NotVerified(f"point not verified: {pt.message}")

@@ -16,9 +16,9 @@ import argparse
 import json
 import math
 import numbers
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+# Unused; only perfbench/tracing.py POOL_MODULES reads it (ROADMAP item 1).
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import MISSING, dataclass, fields
 from typing import Callable
 
@@ -64,7 +64,6 @@ class ScanConfig:
     raw_energy: bool = False
     output: str = "-"
     format: str = "csv"
-    threads: int = 0                # 0 -> hardware count / env fallback
 
     def validate(self) -> None:
         for f in fields(self):
@@ -129,21 +128,14 @@ def _params_at(cfg: ScanConfig, value: float) -> ModelParams:
 
 
 def _thread_count(cfg: ScanConfig) -> int:
-    if cfg.threads > 0:
-        return cfg.threads
-    env = os.environ.get("RABI_SPECTRA_THREADS", "")
-    if env.isdigit() and int(env) > 0:
-        return int(env)
-    return os.cpu_count() or 1
+    """Always 1; only perfbench/run.py environment() calls it (ROADMAP item 1)."""
+    return 1
 
 
 def _grid_levels(cfg: ScanConfig) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The grid and its lowest n_keep shifted levels, one pool task per point."""
+    """The grid and its lowest n_keep shifted levels, serially (eigh_tridiagonal holds the GIL)."""
     grid = _grid(cfg)
-    with ThreadPoolExecutor(max_workers=_thread_count(cfg)) as ex:
-        levels = list(ex.map(
-            lambda v: fock._eps_levels(_params_at(cfg, v), cfg.n_max, cfg.n_keep), grid))
-    return grid, levels
+    return grid, [fock._eps_levels(_params_at(cfg, v), cfg.n_max, cfg.n_keep) for v in grid]
 
 
 def _on_scale(cfg: ScanConfig, p: ModelParams, eps) -> list[float]:
@@ -347,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--raw-energy", action="store_true")
     ap.add_argument("--output", "-o", default="-")
     ap.add_argument("--format", choices=("csv", "json"), default="csv")
-    ap.add_argument("--threads", "-j", type=int, default=0)
     return ap
 
 
@@ -385,7 +376,6 @@ def config_from_args(args: argparse.Namespace) -> ScanConfig:
         n_max=args.n_max, n_keep=args.n_keep, n=args.n, free=args.free,
         free_start=free_lo, free_stop=free_hi, approx=args.approx,
         raw_energy=args.raw_energy, output=args.output, format=args.format,
-        threads=args.threads,
     )
 
 

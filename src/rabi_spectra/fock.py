@@ -15,8 +15,8 @@ with `parity_blocks`, serves as the independent brute-force oracle.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+# Unused; only perfbench/tracing.py POOL_MODULES reads it (ROADMAP item 1).
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -263,15 +263,8 @@ def _scan_levels(
     p_template: ModelParams, g1_values: np.ndarray, n_levels: int, n_max: int
 ) -> np.ndarray:
     """Lowest n_levels shifted levels at each g1, shape (len(g1_values), n_levels)."""
-    def solve(g1: float) -> np.ndarray:
-        p = ModelParams(p_template.omega, p_template.omega0, float(g1), p_template.g2)
-        return _eps_levels(p, n_max, n_levels)
-
-    # LAPACK releases the GIL; grid points are independent and merged in
-    # submission order, so the result is thread-count independent.
-    with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as ex:
-        rows = list(ex.map(solve, g1_values))
-    return np.array(rows)
+    return np.array([_eps_levels(replace(p_template, g1=float(g1)), n_max, n_levels)
+                     for g1 in g1_values])
 
 
 def scan_crossings(

@@ -136,8 +136,9 @@ def degeneracy_loci(
     Avoided-crossing cases (half-integer shifted energy): "0", "1a", "1b",
     "2a", "2b", "p-avoided" (with k), "minus1-avoided" (with p).
     Crossing cases (integer shifted energy): "p-crossing" (with n, p, k) and
-    "minus1-crossing" (with p). Raises NoLocus when the case's validity
-    inequality fails.
+    "minus1-crossing" (with p). Raises NoLocus where g1^2/(2 omega^2) would
+    be negative: at k = 0 outside the case's validity window in p; the k = 1
+    "p-avoided" and "p-crossing" loci always exist.
     """
     w, w0 = omega, omega0
     d = 0.5 - w0 / w
@@ -163,8 +164,6 @@ def degeneracy_loci(
     if case_label == "p-avoided":
         if p < 1:
             raise NoLocus("p >= 1 required")
-        if p * p < d * d:
-            raise NoLocus(f"validity p^2 >= (1/2 - omega0/omega)^2 fails (p={p})")
         root = math.sqrt((n + 1) * (n + 2 * p + 1) + d * d)
         val = (n + p + 1) - root if k == 0 else (n + p + 1) + root
         return from_g1sq_over_2w2(val, n + p + 0.5, "p-avoided", n, p)
@@ -174,8 +173,6 @@ def degeneracy_loci(
     if case_label == "p-crossing":
         if p < 1:
             raise NoLocus("p >= 1 required")
-        if (p - 0.5) ** 2 < d * d:
-            raise NoLocus(f"validity p >= 1/2 + |1/2 - omega0/omega| fails (p={p})")
         root = math.sqrt((n + 1) * (n + 2 * p) + d * d)
         val = (n + p + 0.5) - root if k == 0 else (n + p + 0.5) + root
         return from_g1sq_over_2w2(val, n + p, "p-crossing", n, p)

@@ -827,6 +827,13 @@ class TestEigenstates:
         assert fock.eigvec_overlap(h, level, u_plus) > 1 - 1e-4
         assert fock.eigvec_overlap(h, level, u_minus) > 1 - 1e-4
 
+    def test_juddian_point_raises_rabi_limit(self):
+        # lambda- = 0 on the Rabi line; the two-pole form is not built
+        pt = bethe.rabi_exceptional(1, 1.0, 0.7, (0.05, 1.0))[0]
+        assert pt.verified
+        with pytest.raises(bethe.RabiLimit, match="two-pole"):
+            bethe.eigenstate_at_exceptional(pt)
+
     def test_not_verified_raises(self):
         p = ModelParams(1.0, 1.0, 1.5, 0.5)
         pt = bethe.ExceptionalPoint(0, p, reduce(p), None, 1.0, 0.0, False, "nope")

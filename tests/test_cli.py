@@ -2,6 +2,7 @@ import json
 import math
 import re
 import shlex
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -39,22 +40,15 @@ def test_spectrum_scan_matches_direct_call(tmp_path, capsys):
 def test_determinism_byte_identical(tmp_path):
     cfg = cli.ScanConfig(mode="spectrum-scan", omega=1.0, omega0=0.8, g1=0.0,
                          g2=0.04, axis="g1", start=0.1, stop=0.9, count=5,
-                         n_max=50, n_keep=4, output=str(tmp_path / "a.csv"),
-                         threads=2)
+                         n_max=50, n_keep=4, output=str(tmp_path / "a.csv"))
     cli.run(cfg)
     first = (tmp_path / "a.csv").read_bytes()
-    cfg.output = str(tmp_path / "b.csv")
-    cfg.threads = 1
-    cli.run(cfg)
-    second = (tmp_path / "b.csv").read_bytes()
-    # identical up to the config echo (threads differs)
-    body1 = first.split(b"\n", 1)[1]
-    body2 = second.split(b"\n", 1)[1]
-    assert body1 == body2
-    cfg.output = str(tmp_path / "c.csv")
-    cfg.threads = 2
-    cli.run(cfg)
-    assert (tmp_path / "c.csv").read_bytes().split(b"\n", 1)[1] == body1
+    for name in ("b.csv", "c.csv"):
+        cfg.output = str(tmp_path / name)
+        cli.run(cfg)
+        # whole files, config echo included; the echo names the output file
+        assert (tmp_path / name).read_bytes() == first.replace(b"a.csv", name.encode())
+    assert first.count(b"\n") == 7
 
 
 def test_json_format(capsys):
@@ -168,6 +162,7 @@ def test_config_errors_exit_2(capsys, tmp_path):
         {"mode": "exceptional", "free": "delta"},  # not a model parameter
         {"mode": "exceptional", "free": "omega", "free_start": -1.0},  # omega must be > 0
         {"mode": "exceptional", "free": "g2", "free_start": -0.5},  # g2 must be >= 0
+        {"mode": "spectrum-scan", "threads": 2},  # the field is removed
     ):
         bad.write_text(json.dumps(doc))
         code, out = run_cli(["--config", str(bad)], capsys)
@@ -241,17 +236,6 @@ def test_strong_compare_undefined_regime_rows(capsys):
         assert math.isnan(float(r[3])) and math.isnan(float(r[4]))
 
 
-def test_thread_count_env_fallback(monkeypatch):
-    cfg = cli.ScanConfig(mode="spectrum-scan")
-    monkeypatch.setenv("RABI_SPECTRA_THREADS", "3")
-    assert cli._thread_count(cfg) == 3
-    cfg.threads = 5
-    assert cli._thread_count(cfg) == 5
-    monkeypatch.delenv("RABI_SPECTRA_THREADS")
-    cfg.threads = 0
-    assert cli._thread_count(cfg) >= 1
-
-
 def test_exit_code_4_on_verification_failure(monkeypatch, capsys):
     from rabi_spectra import bethe
     from rabi_spectra.core import reduce as core_reduce
@@ -302,6 +286,12 @@ def test_n_max_level_alias_removed(capsys):
     assert exc.value.code == 2
 
 
+def test_threads_flag_removed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--mode", "spectrum-scan", "--g1-range", "0:1:3", "--threads", "2"])
+    assert exc.value.code == 2
+
+
 def test_exceptional_row_on_a_juddian_point_exits_0(capsys):
     # the first g2 is a Juddian point, where one search candidate lands on
     # the Rabi line; the run goes on to the next row
@@ -346,18 +336,35 @@ def test_readme_commands_run(argv, tmp_path):
     assert lines[1].split(",")[0] in ("g1", "g2", "omega0", "n_eps")
 
 
+def test_grid_solves_start_no_threads(monkeypatch, tmp_path):
+    # Every grid is solved serially: with thread start-up broken, the
+    # level-grid README commands and a crossing scan still run.
+    def refuse(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for argv in _readme_commands():
+        if argv[1] in cli.LEVEL_MODES:
+            argv = list(argv)
+            argv[argv.index("-o") + 1] = str(tmp_path / "out.csv")
+            assert cli.main(argv) == 0, argv[1]
+    events = fock.scan_crossings(ModelParams(1.0, 1.0, 0.0, 0.056),
+                                 np.linspace(0.0, 2.0, 41), 6, 60)
+    assert [ev.kind for ev in events] == ["avoided", "crossing", "crossing", "avoided"]
+
+
 @pytest.mark.parametrize("argv", [a for a in _readme_commands()
                                   if a[1] in ("exceptional", "rabi-markers")],
                          ids=lambda argv: argv[1])
-def test_eigensolver_modes_byte_identical_across_runs_and_threads(argv, tmp_path):
-    # The points of both modes are eigenvalues of a fixed pencil: two runs
-    # at 2 threads and one at 1 give the same rows, byte for byte.
+def test_eigensolver_modes_byte_identical_across_runs(argv, tmp_path):
+    # The points of both modes are eigenvalues of a fixed pencil: three runs
+    # give the same rows, byte for byte.
     bodies = []
-    for i, threads in enumerate(("2", "2", "1")):
+    for i in range(3):
         out = tmp_path / f"run{i}.csv"
         args = list(argv)
         args[args.index("-o") + 1] = str(out)
-        assert cli.main(args + ["--threads", threads]) == 0
+        assert cli.main(args) == 0
         bodies.append(out.read_bytes().split(b"\n", 1)[1])  # past the config echo
     assert bodies[0] == bodies[1] == bodies[2]
     assert bodies[0].count(b"\n") > 1

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import eigh
 
 from oracles import gap_order
-from rabi_spectra import fock, weakpert
+from rabi_spectra import bethe, fock, weakpert
 from rabi_spectra.core import ModelParams
 
 
@@ -118,6 +118,18 @@ class TestLoci:
         # and the avoided analog p^2 >= (1/2 - omega0/omega)^2
         with pytest.raises(weakpert.NoLocus):
             weakpert.degeneracy_loci("p-avoided", 1.0, 2.8, n=0, p=2, k=0)
+
+    def test_k1_crossing_loci_pair_with_exact_points(self):
+        # At omega0 = 1.42 the k = 0 window p >= 1/2 + |1/2 - omega0/omega|
+        # excludes p = 1, but the k = 1 family still crosses at eps = n + p:
+        # its loci lie within O(g2^2) of exact exceptional points.
+        with pytest.raises(weakpert.NoLocus):
+            weakpert.degeneracy_loci("p-crossing", 1.0, 1.42, n=0, p=1, k=0)
+        for n in (0, 2):
+            locus = weakpert.degeneracy_loci("p-crossing", 1.0, 1.42, n=n, p=1, k=1)
+            pts = bethe.find_exceptional(n + 1, {"omega": 1.0, "omega0": 1.42, "g2": 0.01},
+                                         "g1", (0.0, 12.0))
+            assert min(abs(pt.params.g1 - locus.g1) for pt in pts if pt.verified) < 1e-3, n
 
     def test_shifted_cases_match_general_p(self):
         # 2a is 1a with n -> n-2; both must agree with the p=1 display
