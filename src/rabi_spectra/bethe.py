@@ -978,13 +978,6 @@ def rabi_exceptional(
 # Exceptional eigenstates
 # ---------------------------------------------------------------------------
 
-def _poly_eval_flip(c: np.ndarray) -> np.ndarray:
-    """Coefficients of P(-z) from those of P(z) (ascending order)."""
-    out = c.copy()
-    out[1::2] *= -1
-    return out
-
-
 def bargmann_doublet_polynomials(
     roots: np.ndarray, r: ReducedParams, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -1007,7 +1000,7 @@ def bargmann_doublet_polynomials(
     chi = np.array([1.0])
     for z_i in roots:
         chi = np.convolve(chi, [-z_i, 1.0])
-    chi = np.real_if_close(chi, tol=1e8).astype(float)
+    chi = chi.real
     dchi = chi[1:] * np.arange(1, len(chi))
     # numerator ((lp + nu^2)/nu z + e - nu^2) chi - (z - nu) chi'
     num = np.zeros(len(chi) + 1)
@@ -1026,13 +1019,8 @@ def bargmann_doublet_polynomials(
     scale = max(1.0, np.max(np.abs(num)))
     if abs(rem) > 1e-7 * scale:
         raise NotVerified(f"(z - kappa) does not divide psi_2 numerator (rem {rem:.2e})")
-    q = quot
     g_ratio = math.sqrt(r.lambda_plus + r.lambda_minus) / math.sqrt(r.lambda_plus - r.lambda_minus)
-    p_plus = math.sqrt(g_ratio) * (q - chi) if len(q) == len(chi) else None
-    if p_plus is None:
-        raise AssertionError("degree mismatch in doublet polynomials")
-    p_minus = chi + q
-    return p_plus, p_minus
+    return math.sqrt(g_ratio) * (quot - chi), chi + quot
 
 
 def eigenstate_at_exceptional(
@@ -1054,14 +1042,13 @@ def eigenstate_at_exceptional(
     r = pt.reduced
     n = pt.solution.n
     p_plus, p_minus = bargmann_doublet_polynomials(pt.solution.roots, r, n)
-    coh_m = fock.coherent_state(-r.nu, n_max)
-    coh_p = fock.coherent_state(+r.nu, n_max)
-    u1 = (fock.spin_product(fock.apply_creation_polynomial(p_minus, coh_m), (1, 0))
-          + fock.spin_product(fock.apply_creation_polynomial(p_plus, coh_m), (0, 1)))
-    u2 = (fock.spin_product(fock.apply_creation_polynomial(_poly_eval_flip(p_minus), coh_p), (1, 0))
-          - fock.spin_product(fock.apply_creation_polynomial(_poly_eval_flip(p_plus), coh_p), (0, 1)))
+    coh = fock.coherent_state(-r.nu, n_max)
+    u1 = np.empty(2 * (n_max + 1), dtype=complex)
+    u1[0::2] = fock.apply_creation_polynomial(p_minus, coh)   # |m, ->
+    u1[1::2] = fock.apply_creation_polynomial(p_plus, coh)    # |m, +>
     u1 /= np.linalg.norm(u1)
-    u2 /= np.linalg.norm(u2)
+    # N_ex parity (-1)^(m + s) on |m, s> (s = 0, 1 for -, +)
+    u2 = u1 * (-1.0) ** (np.arange(u1.size) // 2 + np.arange(u1.size) % 2)
     plus = u1 + u2
     minus = u1 - u2
     return plus / np.linalg.norm(plus), minus / np.linalg.norm(minus)

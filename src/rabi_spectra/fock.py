@@ -227,15 +227,6 @@ def apply_creation_polynomial(coeffs: Sequence[float], vec: np.ndarray) -> np.nd
     return out
 
 
-def spin_product(fock_vec: np.ndarray, spin: Sequence[float]) -> np.ndarray:
-    """Tensor a Fock vector with a spinor (c_minus, c_plus) in this basis order."""
-    c_minus, c_plus = spin
-    out = np.zeros(2 * len(fock_vec), dtype=complex)
-    out[0::2] = c_minus * fock_vec
-    out[1::2] = c_plus * fock_vec
-    return out
-
-
 def eigvec_overlap(
     h: TruncatedHamiltonian,
     level: int,

@@ -104,13 +104,24 @@ def displaced_a_element(M: int, N: int, beta_over_omega: float) -> float:
 
 
 def adiabatic_block(N: int, p: ModelParams) -> tuple[float, float]:
-    """(E_N, |off-diagonal|) of the N-th 2x2 adiabatic block."""
+    """(E_N, |off-diagonal|) of the N-th 2x2 adiabatic block.
+
+    The spin rotation sx -> sz, sz -> -sx, sy -> sy turns the coupling
+    beta (a + a') sx + i lambda (a - a') sy into
+    H = omega a'a + beta (a + a') sz - omega0 sx + i lambda (a - a') sy.
+    Its sz = +-1 ladders D(-+b)|N>, b = beta/omega, have E_N = omega (N - b^2),
+    and the block couples |N_+, up> to |N_-, down> by
+        -omega0 <N|D(2b)|N> - lambda <N|(a' - a) D(2b)|N>
+        = -e^(-x/2) [omega0 L_N^0(x) - lambda 2b (L_{N-1}^1 + L_N^1)(x)],
+    x = 4 b^2, since (a' - a) D(c) = dD/dc and d/dc [e^(-c^2/2) L_N(c^2)]
+    = -c e^(-c^2/2) (L_{N-1}^1 + L_N^1)(c^2): the terms have opposite signs.
+    """
     ap = AdiabaticParams.from_params(p)
     x = ap.laguerre_arg
     e_n = p.omega * (N - ap.displacement ** 2)
     off = math.exp(-x / 2) * abs(
         p.omega0 * genlaguerre(N, 0, x)
-        + ap.lambda_asym * 2 * ap.displacement * (genlaguerre(N - 1, 1, x) + genlaguerre(N, 1, x))
+        - ap.lambda_asym * 2 * ap.displacement * (genlaguerre(N - 1, 1, x) + genlaguerre(N, 1, x))
     )
     return e_n, off
 
@@ -118,7 +129,7 @@ def adiabatic_block(N: int, p: ModelParams) -> tuple[float, float]:
 def adiabatic_energies(N: int, p: ModelParams) -> tuple[float, float]:
     """Quasi-degenerate pair (E_N^-, E_N^+) of the adiabatic approximation.
 
-    E_N +- exp(-2 beta^2/omega^2) |omega0 L_N^0(x) + lambda (2 beta/omega)
+    E_N +- exp(-2 beta^2/omega^2) |omega0 L_N^0(x) - lambda (2 beta/omega)
     [L_{N-1}^1 + L_N^1](x)| with x = 4 beta^2/omega^2 and E_N =
     omega (N - beta^2/omega^2). Intended regime: beta/omega >~ 1,
     omega0 << omega, |g1 - g2| small.

@@ -119,8 +119,35 @@ def second_order(n: int, k: int, p: ModelParams) -> float:
     return g2 * g2 * val
 
 
-def _detuning_half(p: ModelParams) -> float:
-    return 0.5 - p.omega0 / p.omega
+# family -> h. A "p-*" member pairs the JC level (n, k) with (n + 2p - 1 + 2h, 1)
+# at shifted energy n + p + h: avoided crossings at h = 1/2, exact ones at
+# h = 0. A "minus1-*" member is the same with |0,-> as (n, k) = (-1, 1).
+_FAMILIES = {"p-avoided": 0.5, "p-crossing": 0.0, "minus1-avoided": 0.5, "minus1-crossing": 0.0}
+
+# The named avoided cases are p = 1 members: label -> (family, k, offset),
+# the member's n being the caller's n minus offset ("0" ignores n).
+_NAMED_CASES = {
+    "0": ("minus1-avoided", 1, 0),
+    "1a": ("p-avoided", 0, 0),
+    "1b": ("p-avoided", 1, 0),
+    "2a": ("p-avoided", 0, 2),
+    "2b": ("p-avoided", 1, 2),
+}
+
+
+def _locus_value(h: float, omega: float, omega0: float, n: int, p: int, k: int
+                 ) -> tuple[float, float]:
+    """(g1^2/(2 omega^2), energy base) of one family member (n = -1: |0,->).
+
+    The locus exists exactly when the first value is >= 0; its degenerate
+    unperturbed energy is omega * base - g1^2/(2 omega).
+    """
+    base = n + p + h
+    if n == -1:
+        return (omega0 + omega * base) / omega, base
+    d = 0.5 - omega0 / omega
+    root = math.sqrt((n + 1) * (n + 2 * (p + h)) + d * d)
+    return base + 0.5 + (root if k else -root), base
 
 
 def degeneracy_loci(
@@ -133,53 +160,34 @@ def degeneracy_loci(
 ) -> DegeneracyLocus:
     """g1 location and energy of an unperturbed-level degeneracy.
 
-    Avoided-crossing cases (half-integer shifted energy): "0", "1a", "1b",
-    "2a", "2b", "p-avoided" (with k), "minus1-avoided" (with p).
-    Crossing cases (integer shifted energy): "p-crossing" (with n, p, k) and
-    "minus1-crossing" (with p). Raises NoLocus where g1^2/(2 omega^2) would
-    be negative: at k = 0 outside the case's validity window in p; the k = 1
-    "p-avoided" and "p-crossing" loci always exist.
+    Families: "p-avoided" (n, k) <-> (n + 2p, 1) at shifted energy
+    n + p + 1/2, "p-crossing" (n, k) <-> (n + 2p - 1, 1) at n + p,
+    "minus1-avoided" |0,-> <-> (2p - 1, 1) at p - 1/2 and "minus1-crossing"
+    |0,-> <-> (2p - 2, 1) at p - 1. The named avoided cases are p = 1
+    members: "0" is "minus1-avoided", "1a"/"1b" are "p-avoided" with
+    k = 0/1, and "2a"/"2b" the same at n - 2. A locus exists exactly where
+    g1^2/(2 omega^2) >= 0, and needs a JC level n >= 0 and p >= 1 in the
+    "p-*" families; elsewhere NoLocus is raised. The k = 1 "p-*" loci
+    always exist.
     """
-    w, w0 = omega, omega0
-    d = 0.5 - w0 / w
-
-    def from_g1sq_over_2w2(val: float, e_at_base: float, lbl: str, nn: int, pp: int) -> DegeneracyLocus:
-        if val < 0:
-            raise NoLocus(f"case {lbl}: locus value negative ({val:.4g})")
-        g1 = w * math.sqrt(2 * val)
-        return DegeneracyLocus(case_label=lbl, p=pp, n=nn, g1=g1,
-                               E_at=w * e_at_base - g1 * g1 / (2 * w))
-
-    if case_label == "0":
-        val = (w0 + w / 2) / w
-        return from_g1sq_over_2w2(val, 0.5, "0", -1, 1)
-    if case_label in ("1a", "2a", "1b", "2b"):
-        nn = n if case_label in ("1a", "1b") else n - 2
-        if case_label in ("2a", "2b") and n < 2:
-            raise NoLocus(f"case {case_label} needs n >= 2")
-        rad = (nn + 1) * (nn + 3) + d * d
-        root = math.sqrt(rad)
-        val = (nn + 2) - root if case_label in ("1a", "2a") else (nn + 2) + root
-        return from_g1sq_over_2w2(val, nn + 1.5, case_label, n, 1)
-    if case_label == "p-avoided":
-        if p < 1:
-            raise NoLocus("p >= 1 required")
-        root = math.sqrt((n + 1) * (n + 2 * p + 1) + d * d)
-        val = (n + p + 1) - root if k == 0 else (n + p + 1) + root
-        return from_g1sq_over_2w2(val, n + p + 0.5, "p-avoided", n, p)
-    if case_label == "minus1-avoided":
-        val = (w0 + w * (p - 0.5)) / w
-        return from_g1sq_over_2w2(val, p - 0.5, "minus1-avoided", -1, p)
-    if case_label == "p-crossing":
-        if p < 1:
-            raise NoLocus("p >= 1 required")
-        root = math.sqrt((n + 1) * (n + 2 * p) + d * d)
-        val = (n + p + 0.5) - root if k == 0 else (n + p + 0.5) + root
-        return from_g1sq_over_2w2(val, n + p, "p-crossing", n, p)
-    if case_label == "minus1-crossing":
-        val = (w0 + w * (p - 1)) / w
-        return from_g1sq_over_2w2(val, float(p - 1), "minus1-crossing", -1, p)
-    raise InvalidCase(f"unknown case label {case_label!r}")
+    member_n, offset = n, 0
+    if case_label in _NAMED_CASES:
+        family, k, offset = _NAMED_CASES[case_label]
+        member_n, p = n - offset, 1
+    elif case_label in _FAMILIES:
+        family = case_label
+    else:
+        raise InvalidCase(f"unknown case label {case_label!r}")
+    if family.startswith("minus1"):
+        n = member_n = -1
+    elif member_n < 0 or p < 1:
+        raise NoLocus(f"case {case_label} needs n >= {offset} and p >= 1")
+    val, base = _locus_value(_FAMILIES[family], omega, omega0, member_n, p, k)
+    if val < 0:
+        raise NoLocus(f"case {case_label}: locus value negative ({val:.4g})")
+    g1 = omega * math.sqrt(2 * val)
+    return DegeneracyLocus(case_label=case_label, p=p, n=n, g1=g1,
+                           E_at=omega * base - g1 * g1 / (2 * omega))
 
 
 def gap(case_label: str, n: int, p: ModelParams) -> float:
@@ -232,14 +240,13 @@ def count_events(N: int, p: ModelParams) -> tuple[int, int]:
     """(N_cr, N_avoided): crossings at eps = N and avoided crossings at
     eps = N + 1/2 predicted by the degeneracy enumeration.
 
-    Crossings: the k=0 family needs p in [1/2 + |1/2 - omega0/omega|, N],
-    the k=1 family contributes every p in [1, N], and the |0,-> level always
-    intersects E_{2N,1} once. Avoided: same with window p >= |1/2 -
-    omega0/omega| and the single |0,-> event at p = N + 1.
+    Counts the loci that exist (see `degeneracy_loci`): "p-crossing" at
+    (N - q, q, k) for q = 1..N and k = 0, 1 plus "minus1-crossing" at
+    p = N + 1, and the same with the avoided families.
     """
-    d = abs(_detuning_half(p))
-    lo_cr = max(1, math.ceil(0.5 + d - 1e-12))
-    n_cr = max(0, N - lo_cr + 1) + N + 1
-    lo_av = max(1, math.ceil(d - 1e-12))
-    n_av = max(0, N - lo_av + 1) + N + 1
-    return n_cr, n_av
+    members = [(N - q, q, k) for q in range(1, N + 1) for k in (0, 1)] + [(-1, N + 1, 1)]
+
+    def count(h: float) -> int:
+        return sum(_locus_value(h, p.omega, p.omega0, *m)[0] >= 0 for m in members)
+
+    return count(0.0), count(0.5)

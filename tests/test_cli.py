@@ -324,6 +324,17 @@ def _readme_commands() -> list[list[str]]:
     return [shlex.split(line)[1:] for line in lines if line.startswith("rabi-spectra ")]
 
 
+def test_readme_library_tour_runs(capsys):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```python\n(.*?)```", text[text.index("## Library tour"):], re.S)
+    namespace: dict = {}
+    exec(compile(block.group(1), "README.md", "exec"), namespace)
+    assert abs(namespace["res"].epsilons[0]) < 1e-9
+    assert namespace["pts"] and all(pt.verified for pt in namespace["pts"])
+    assert len(namespace["u_plus"]) == len(namespace["u_minus"]) == 2 * 201
+    assert capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[1])
 def test_readme_commands_run(argv, tmp_path):
     out = tmp_path / "out.csv"

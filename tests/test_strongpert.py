@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import eigh
 
 from rabi_spectra import fock, strongpert, weakpert
-from rabi_spectra.core import ModelParams
+from rabi_spectra.core import ModelParams, reduce
 
 
 def numeric_levels(p: ModelParams, count: int, n_max: int = 240) -> np.ndarray:
@@ -106,6 +106,20 @@ class TestAdiabatic:
             lo, hi = strongpert.adiabatic_energies(N, p)
             assert abs(E[2 * N] - lo) < 0.05
             assert abs(E[2 * N + 1] - hi) < 0.05
+
+    def test_asymmetry_error_is_second_order_in_lambda(self):
+        # at fixed small omega0 the worst deviation of the lowest 8 levels
+        # grows about 4x per doubling of lambda = (g1 - g2)/2; with the lambda
+        # term's sign wrong it was O(lambda) plus an O(omega0 lambda^0) offset
+        beta, omega0 = 2.0, 0.02
+        devs = []
+        for lam in (0.025, 0.05, 0.1):
+            p = ModelParams(1.0, omega0, beta + lam, beta - lam)
+            E = (fock._eps_levels(p, 300, 8) - reduce(p).lambda_plus) * p.omega
+            approx = np.sort([e for N in range(4) for e in strongpert.adiabatic_energies(N, p)])
+            devs.append(float(np.max(np.abs(E - approx))))
+        for small, large in zip(devs, devs[1:]):
+            assert 3.0 < large / small < 5.0, devs
 
     def test_splitting_log_slope(self):
         # splitting ~ exp(-2 beta^2/omega^2): log-splitting difference between

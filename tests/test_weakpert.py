@@ -139,6 +139,35 @@ class TestLoci:
         l2a = weakpert.degeneracy_loci("2a", 1.0, 0.7, n=5)
         assert l2a.g1 == pytest.approx(la.g1, rel=1e-12)
 
+    @pytest.mark.parametrize("case, n, family, n_member, k", [
+        ("0", 0, "minus1-avoided", -1, 1),
+        ("0", 4, "minus1-avoided", -1, 1),
+        *[("1a", n, "p-avoided", n, 0) for n in (0, 1, 4)],
+        *[("1b", n, "p-avoided", n, 1) for n in (0, 1, 4)],
+        *[("2a", n, "p-avoided", n - 2, 0) for n in (2, 3, 6)],
+        *[("2b", n, "p-avoided", n - 2, 1) for n in (2, 3, 6)],
+    ])
+    @pytest.mark.parametrize("omega0", [-1.3, 0.0, 0.7, 2.6])
+    def test_named_case_is_its_family_member_at_p1(self, case, n, family, n_member, k, omega0):
+        # the locus keeps the label and the n the caller gave (-1 for case 0)
+        try:
+            member = weakpert.degeneracy_loci(family, 1.3, omega0, n=n_member, p=1, k=k)
+        except weakpert.NoLocus:
+            with pytest.raises(weakpert.NoLocus):
+                weakpert.degeneracy_loci(case, 1.3, omega0, n=n)
+            return
+        named = weakpert.degeneracy_loci(case, 1.3, omega0, n=n)
+        assert (named.case_label, named.p, named.n) == (case, 1, -1 if case == "0" else n)
+        assert (named.g1, named.E_at) == (member.g1, member.E_at)
+
+    def test_p_families_need_a_jc_level(self):
+        # |0,-> enters only through case "0" and the minus1 families
+        cases = [("1a", -1), ("1b", -1), ("2a", 1), ("2b", 0), ("p-avoided", -1), ("p-crossing", -1)]
+        for case, n in cases:
+            for k in (0, 1):
+                with pytest.raises(weakpert.NoLocus):
+                    weakpert.degeneracy_loci(case, 1.0, 0.7, n=n, p=2, k=k)
+
     def test_locus_predicts_fock_event(self):
         # an avoided crossing appears within 0.02 of the predicted g1
         locus = weakpert.degeneracy_loci("1a", 1.0, 1.0, n=0)
@@ -234,3 +263,18 @@ class TestCounting:
             n_cr, n_av = weakpert.count_events(N, ModelParams(1.0, w0, 1.0, 0.01))
             assert N + 1 <= n_cr <= 2 * N + 1
             assert N + 1 <= n_av <= 2 * N + 1
+
+    @pytest.mark.parametrize("omega0, N", [
+        pytest.param(omega0, N, marks=pytest.mark.xfail(
+            reason="the minus1-crossing locus sits at g1 = 0 (integer omega0/omega), "
+                   "where the search keeps no point"))
+        if (omega0, N) == (-3.0, 3) else (omega0, N)
+        for omega0 in (-0.3, -0.7, -1.5, -3.0) for N in range(4)
+    ])
+    def test_negative_omega0_counts_the_verified_points(self, omega0, N):
+        # omega0 < 0 is how core.mirror serves g1 << g2: a family member,
+        # the |0,-> one included, counts only where its g1^2/(2 omega^2) >= 0
+        pts = bethe.find_exceptional(N, {"omega": 1.0, "omega0": omega0, "g2": 0.01},
+                                     "g1", (0.0, 12.0))
+        n_cr, _ = weakpert.count_events(N, ModelParams(1.0, omega0, 1.0, 0.01))
+        assert n_cr == sum(pt.verified for pt in pts)
