@@ -124,13 +124,10 @@ def _parity_chains(
     return even, odd
 
 
-def _parity_levels(p: ModelParams, n_max: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest k shifted eigenvalues eps = E/omega + lambda+, no certification,
-    with the chain each comes from (0 even, 1 odd N_ex parity).
-
-    Solves the two parity chains and merges their lowest min(k, n_max+1)
-    levels; the levels equal the lowest k eigenvalues of `build(p, n_max)`.
-    """
+def _chain_levels(p: ModelParams, n_max: int, k: int) -> np.ndarray:
+    """The lowest j = min(k, n_max+1) eigenvalues of the even parity chain
+    followed by the lowest j of the odd chain, unshifted: slot s holds level
+    s % j of chain s // j."""
     chains = _parity_chains(p, n_max)
     if k < 1 or k > 2 * (n_max + 1):
         raise ValueError(f"k must be in [1, {2 * (n_max + 1)}], got {k}")
@@ -143,14 +140,24 @@ def _parity_levels(p: ModelParams, n_max: int, k: int) -> tuple[np.ndarray, np.n
         else:
             levels.append(eigh_tridiagonal(d, e, eigvals_only=True,
                                            lapack_driver="sterf")[:j])
-    evals = np.concatenate(levels)
-    order = np.argsort(evals, kind="stable")[:k]
-    return evals[order] / p.omega + reduce(p).lambda_plus, order // j
+    return np.concatenate(levels)
+
+
+def _merged_levels(p: ModelParams, n_max: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest k shifted eigenvalues eps = E/omega + lambda+, no certification,
+    with the `_chain_levels` slot each comes from; slot // min(k, n_max+1)
+    is its chain (0 even, 1 odd N_ex parity).
+
+    The levels equal the lowest k eigenvalues of `build(p, n_max)`.
+    """
+    evals = _chain_levels(p, n_max, k)
+    slots = np.argsort(evals, kind="stable")[:k]
+    return evals[slots] / p.omega + reduce(p).lambda_plus, slots
 
 
 def _eps_levels(p: ModelParams, n_max: int, k: int) -> np.ndarray:
-    """The levels of `_parity_levels` without their parities."""
-    return _parity_levels(p, n_max, k)[0]
+    """The levels of `_merged_levels` without their slots."""
+    return _merged_levels(p, n_max, k)[0]
 
 
 def diagonalize(h: TruncatedHamiltonian, n_keep: int) -> SpectrumResult:
@@ -252,10 +259,14 @@ def eigvec_overlap(
 
 def _scan_levels(
     p_template: ModelParams, g1_values: np.ndarray, n_levels: int, n_max: int
-) -> np.ndarray:
-    """Lowest n_levels shifted levels at each g1, shape (len(g1_values), n_levels)."""
-    return np.array([_eps_levels(replace(p_template, g1=float(g1)), n_max, n_levels)
-                     for g1 in g1_values])
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest n_levels shifted levels at each g1, shape (len(g1_values), n_levels),
+    and the `_chain_levels` slot of each."""
+    eps = np.empty((len(g1_values), n_levels))
+    slots = np.empty((len(g1_values), n_levels), dtype=int)
+    for row, g1 in enumerate(g1_values):
+        eps[row], slots[row] = _merged_levels(replace(p_template, g1=float(g1)), n_max, n_levels)
+    return eps, slots
 
 
 def scan_crossings(
@@ -268,38 +279,59 @@ def scan_crossings(
     """Locate level crossings and avoided crossings along a g1 scan.
 
     Every interior local minimum of each adjacent-level gap eps_{i+1}-eps_i
-    is refined by golden-section search down to refine_tol in g1; minima
-    that drift to the bracket edge are dropped. Opposite N_ex parities at
-    the minimum cross exactly, equal ones repel (avoided), except on a
-    g2 = 0 (JC) line, where N_ex is conserved and every minimum crosses.
+    is refined inside its two grid neighbours until the bracket on g1 is
+    refine_tol wide (or 2 eps_mach |g1|, if wider); refine_tol must be finite and
+    > 0. When the two levels come from opposite N_ex-parity chains and swap
+    order across the bracket, the minimum is a root of the chain-level
+    difference eps_even,i - eps_odd,j and Brent's method finds it. Any other
+    minimum (avoided crossings, opposite-parity near-misses that do not
+    swap, same-chain crossings on g2 = 0) is refined by golden-section
+    search on the gap. Minima that drift to the bracket edge are dropped.
+    Opposite N_ex parities at the minimum cross exactly, equal ones repel
+    (avoided), except on a g2 = 0 (JC) line, where N_ex is conserved and
+    every minimum crosses. `gap` is eps_{i+1} - eps_i at the located g1.
     """
+    if not (math.isfinite(refine_tol) and refine_tol > 0):
+        raise ValueError(f"refine_tol must be finite and > 0, got {refine_tol}")
     g1_values = np.asarray(list(g1_grid), dtype=float)
     if len(g1_values) < 3 or np.any(np.diff(g1_values) <= 0):
         raise ValueError("g1_grid must be strictly ascending with >= 3 points")
-    eps = _scan_levels(p_template, g1_values, n_levels, n_max)
+    eps, slots = _scan_levels(p_template, g1_values, n_levels, n_max)
     gaps = np.diff(eps, axis=1)  # (n_grid, n_levels-1)
+    per_chain = min(n_levels, n_max + 1)
     events: list[CrossingEvent] = []
 
     def gap_at(g1: float, pair: int) -> float:
         eps = _eps_levels(replace(p_template, g1=g1), n_max, n_levels)
         return float(eps[pair + 1] - eps[pair])
 
+    def split_at(g1: float, lower: int, upper: int) -> float:
+        levels = _chain_levels(replace(p_template, g1=g1), n_max, n_levels)
+        return float(levels[lower] - levels[upper]) / p_template.omega
+
     for pair in range(n_levels - 1):
         g = gaps[:, pair]
         interior = np.where((g[1:-1] < g[:-2]) & (g[1:-1] <= g[2:]))[0] + 1
         for idx in interior:
             lo, hi = g1_values[idx - 1], g1_values[idx + 1]
-            g1_min, gap_min = _golden_min(lambda x: gap_at(x, pair), lo, hi, refine_tol)
+            lower, upper = slots[idx - 1, pair:pair + 2]
+            swapped = (slots[idx + 1, pair], slots[idx + 1, pair + 1]) == (upper, lower)
+            if swapped and lower // per_chain != upper // per_chain:
+                g1_min = _brent_root(lambda x: split_at(x, lower, upper), lo, hi,
+                                     -g[idx - 1], g[idx + 1], refine_tol)
+            else:
+                g1_min, _ = _golden_min(lambda x: gap_at(x, pair), lo, hi, refine_tol)
             if g1_min - lo < 2 * refine_tol or hi - g1_min < 2 * refine_tol:
                 continue
-            eps_min, parity = _parity_levels(replace(p_template, g1=g1_min), n_max, n_levels)
-            crossing = p_template.g2 == 0 or parity[pair] != parity[pair + 1]
+            eps_min, slots_min = _merged_levels(replace(p_template, g1=g1_min), n_max, n_levels)
+            chain = slots_min // per_chain
+            crossing = p_template.g2 == 0 or chain[pair] != chain[pair + 1]
             events.append(
                 CrossingEvent(
                     kind="crossing" if crossing else "avoided",
                     g1_location=float(g1_min),
                     epsilon_at_event=float(0.5 * (eps_min[pair] + eps_min[pair + 1])),
-                    gap=float(gap_min),
+                    gap=float(eps_min[pair + 1] - eps_min[pair]),
                     level_pair=(pair, pair + 1),
                 )
             )
@@ -308,14 +340,16 @@ def scan_crossings(
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_EPS = float(np.finfo(float).eps)
 
 
 def _golden_min(f, a: float, b: float, xtol: float) -> tuple[float, float]:
-    """Golden-section minimization of f on [a, b] to bracket width xtol."""
+    """Golden-section minimization of f on [a, b] to bracket width xtol,
+    floored at 2 eps_mach |x| so that rounding cannot stall it."""
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    while abs(b - a) > xtol:
+    while abs(b - a) > max(xtol, 2 * _EPS * max(abs(a), abs(b))) and a < c < d < b:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -326,3 +360,45 @@ def _golden_min(f, a: float, b: float, xtol: float) -> tuple[float, float]:
             fd = f(d)
     x = 0.5 * (a + b)
     return x, f(x)
+
+
+def _brent_root(f, a: float, b: float, fa: float, fb: float, xtol: float) -> float:
+    """A root of f in [a, b] by Brent's method, given fa = f(a) and fb = f(b)
+    of opposite signs (or zero): inverse quadratic or secant steps, with
+    bisection whenever they would not shrink the bracket fast enough. Stops
+    at bracket width xtol, floored at 2 eps_mach |x|; xtol must be > 0.
+    (R. P. Brent, Algorithms for Minimization without Derivatives, 1973.)
+    """
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if (fb > 0) == (fc > 0):  # keep the root between b and c
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):  # b is the best estimate so far
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 0.5 * max(xtol, 2 * _EPS * abs(b))
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            return b
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2 * m * s, 1 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2 * m * q * (q - r) - (b - a) * (r - 1))
+                q = (q - 1) * (r - 1) * (s - 1)
+            if p > 0:
+                q = -q
+            p = abs(p)
+            if 2 * p < min(3 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        else:
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)

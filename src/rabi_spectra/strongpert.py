@@ -133,6 +133,11 @@ def adiabatic_energies(N: int, p: ModelParams) -> tuple[float, float]:
     [L_{N-1}^1 + L_N^1](x)| with x = 4 beta^2/omega^2 and E_N =
     omega (N - beta^2/omega^2). Intended regime: beta/omega >~ 1,
     omega0 << omega, |g1 - g2| small.
+
+    Measured error (lowest 8 levels against the parity chains at n_max 300,
+    beta = 2): O(lambda^2) off the Rabi line, 3.8e-4 at omega0 = 0.02 and
+    lambda = 0.025; O(omega0^2) on it (lambda = 0), 9.0e-5 at omega0 = 0.025
+    rising 4x per doubling to 5.8e-3 at 0.2.
     """
     if N < 0:
         raise InvalidIndex("N must be nonnegative")

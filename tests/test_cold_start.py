@@ -1,4 +1,5 @@
-"""Importing the package, or running a CLI command, loads no scipy.optimize.
+"""Importing the package, running a CLI command or refining crossings loads
+no scipy.optimize.
 
 A fresh interpreter is needed: the rest of the suite may already have
 imported it.
@@ -21,6 +22,11 @@ with contextlib.redirect_stdout(io.StringIO()):
                      "--omega0-range", "0.05:3:60", "--n", "7", "-o", "-"])
 assert code == 0, code
 assert "scipy.optimize" not in sys.modules, "cli.main"
+from rabi_spectra import fock
+from rabi_spectra.core import ModelParams
+events = fock.scan_crossings(ModelParams(1.0, 1.0, 0.0, 0.056), [0.55, 0.6, 0.65], 12, 40)
+assert any(ev.kind == "crossing" for ev in events), events
+assert "scipy.optimize" not in sys.modules, "fock.scan_crossings"
 root = bethe.brentq(lambda x: x * x - 2.0, 0.0, 2.0)
 assert abs(root - 2.0 ** 0.5) < 1e-10, root
 """

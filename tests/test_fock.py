@@ -1,4 +1,10 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,7 +157,8 @@ def test_eps_levels_match_dense_oracle(couplings):
             got = fock._eps_levels(p, n_max, k)
             assert got.shape == (k,)
             assert np.max(np.abs(got - want[:k])) < 1e-12
-            levels, parity = fock._parity_levels(p, n_max, k)
+            levels, slots = fock._merged_levels(p, n_max, k)
+            parity = slots // min(k, n_max + 1)
             assert np.array_equal(levels, got)
             assert np.array_equal(parity[apart[:k]], want_parity[:k][apart[:k]])
 
@@ -260,3 +267,89 @@ def test_scan_crossings_avoided_near_half_integer():
     for ev in avoided:
         frac = abs(ev.epsilon_at_event - round(ev.epsilon_at_event - 0.5) - 0.5)
         assert frac < 0.05
+
+
+def test_crossings_are_refined_as_roots_of_the_chain_level_difference(monkeypatch):
+    # the crossing-refine benchmark line: 4 exact crossings, 5 avoided ones
+    p = ModelParams(1.0, 1.0, 0.0, 0.056)
+    grid = np.linspace(0.0, 1.0, 120)
+    solves = []  # one entry per two-chain level solve
+    golden = []  # level solves inside each golden-section refinement
+    chain_levels, golden_min = fock._chain_levels, fock._golden_min
+
+    def counted_chain_levels(*args):
+        solves.append(1)
+        return chain_levels(*args)
+
+    def counted_golden_min(*args):
+        before = len(solves)
+        result = golden_min(*args)
+        golden.append(len(solves) - before)
+        return result
+
+    monkeypatch.setattr(fock, "_chain_levels", counted_chain_levels)
+    monkeypatch.setattr(fock, "_golden_min", counted_golden_min)
+    events = fock.scan_crossings(p, grid, 12, 200)
+    monkeypatch.undo()
+    crossings = [ev for ev in events if ev.kind == "crossing"]
+    n_avoided = len(events) - len(crossings)
+    assert (len(crossings), n_avoided) == (4, 5)
+    # avoided minima keep golden section on the gap: on a bracket 2/119 wide
+    # down to 1e-10 that is 2 + 40 + 1 solves, then one solve at the minimum
+    assert golden == [43] * n_avoided
+    root_solves = len(solves) - len(grid) - 44 * n_avoided
+    assert root_solves <= 15 * len(crossings), root_solves
+    tol = 1e-10  # scan_crossings' default refine_tol
+    for ev in crossings:
+        splits = []
+        for g1 in (ev.g1_location - 2 * tol, ev.g1_location + 2 * tol):
+            p_at = replace(p, g1=g1)
+            be, bo = fock.parity_blocks(fock.build(p_at, 200))
+            even, odd = eigh(be, eigvals_only=True), eigh(bo, eigvals_only=True)
+            energy = ev.epsilon_at_event - reduce(p_at).lambda_plus
+            i, j = np.argmin(np.abs(even - energy)), np.argmin(np.abs(odd - energy))
+            splits.append(even[i] - odd[j])
+        assert splits[0] * splits[1] < 0, (ev, splits)
+
+
+UNREACHABLE_TOL_SCRIPT = """
+import json
+import numpy as np
+from rabi_spectra import fock
+from rabi_spectra.core import ModelParams
+
+p, grid = ModelParams(1.0, 1.0, 0.0, 0.056), np.linspace(0.0, 2.0, 41)
+errors = []
+for tol in (0.0, -1.0, float("nan"), float("inf")):
+    try:
+        fock.scan_crossings(p, grid, 6, 60, refine_tol=tol)
+        errors.append(None)
+    except ValueError as exc:
+        errors.append(str(exc))
+events = {str(tol): [(ev.kind, ev.level_pair, ev.g1_location)
+                     for ev in fock.scan_crossings(p, grid, 6, 60, refine_tol=tol)]
+          for tol in (1e-300, 1e-10)}
+x_min, _ = fock._golden_min(lambda x: (x - 0.3) ** 2, 0.0, 1.0, 0.0)
+x_edge, _ = fock._golden_min(lambda x: x, 0.0, 1.0, 0.0)
+print(json.dumps({"errors": errors, "events": events, "golden": [x_min, x_edge]}))
+"""
+
+
+def test_unreachable_refine_tol_raises_or_stops_at_rounding():
+    # a bracket of adjacent floats never got narrower than refine_tol = 0,
+    # so these calls used to loop forever; a subprocess keeps a regression
+    # from hanging the suite
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", UNREACHABLE_TOL_SCRIPT],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert all(err and "refine_tol" in err for err in out["errors"]), out["errors"]
+    tiny, default = out["events"]["1e-300"], out["events"]["1e-10"]
+    assert default and len(tiny) == len(default)
+    for (kind, pair, g1), (kind_d, pair_d, g1_d) in zip(tiny, default):
+        assert (kind, pair) == (kind_d, pair_d)
+        assert abs(g1 - g1_d) < 1e-9
+    assert out["golden"][0] == pytest.approx(0.3, abs=1e-8)
+    assert 0.0 <= out["golden"][1] < 1e-300

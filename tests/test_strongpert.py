@@ -121,6 +121,18 @@ class TestAdiabatic:
         for small, large in zip(devs, devs[1:]):
             assert 3.0 < large / small < 5.0, devs
 
+    def test_rabi_line_error_is_second_order_in_omega0(self):
+        # on g1 = g2 the worst deviation of the lowest 8 levels is O(omega0^2):
+        # 9.0e-5, 3.6e-4, 1.4e-3 and 5.8e-3 at beta = 2
+        devs = []
+        for omega0 in (0.025, 0.05, 0.1, 0.2):
+            p = ModelParams(1.0, omega0, 2.0, 2.0)
+            E = (fock._eps_levels(p, 300, 8) - reduce(p).lambda_plus) * p.omega
+            approx = np.sort([e for N in range(4) for e in strongpert.adiabatic_energies(N, p)])
+            devs.append(float(np.max(np.abs(E - approx))))
+        for small, large in zip(devs, devs[1:]):
+            assert large / small == pytest.approx(4.0, abs=0.4), devs
+
     def test_splitting_log_slope(self):
         # splitting ~ exp(-2 beta^2/omega^2): log-splitting difference between
         # beta and 1.25 beta is -2 (1.25^2 - 1) beta^2 within 15%
