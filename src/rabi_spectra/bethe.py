@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -293,6 +294,53 @@ def lambda_linear_solve(
     return (l1, l2, l3)
 
 
+@lru_cache(maxsize=8)  # branch_Z's closed system uses two plans (j = 0, 1)
+def _closure_plan(
+    j: int, levels: tuple[float, ...], degeneracies: tuple[int, ...], nu: float
+) -> tuple[tuple, int | None]:
+    """The Lambda-independent part of `_hierarchy_closure`, order by order.
+
+    The closure's values are x = (Lambda_i - Lambda_j for each other level
+    i, then Lambda_j^(0), Lambda_j^(1), ...). Order l holds
+    - (C(l, k), index of Lambda_j^(k), index of Lambda_j^(l-k)), k = 0..l;
+    - per other level i, (-l! d_i, index of Lambda_i - Lambda_j,
+      (2nu)^(l+1) (e_i - e_j)^(l+1)), then for m = 1..l (l! d_i, index of
+      Lambda_j^(l-m+1), (2nu)^m (l-m+1)! (e_i - e_j)^m);
+    - 1 - d_j/(l+1), the coefficient of Lambda_j^(l+1).
+    Every denominator is formed by the same float operations as in a
+    term-by-term evaluation. A power that overflows ends the plan at its
+    order, with the terms of the levels completed before it; the second
+    item is that order (None when all d_j orders are complete).
+    """
+    d_j = degeneracies[j]
+    others = [(e_i - levels[j], d_i)
+              for i, (e_i, d_i) in enumerate(zip(levels, degeneracies)) if i != j]
+    at = len(others)  # index of Lambda_j^(0) in x
+    two_nu = 2 * nu
+    tn, fact, binom = [1.0], [1], [1]  # (2nu)^m, m!, C(l, 0..l)
+    deps = [[1.0] for _ in others]  # (e_i - e_j)^m per other level
+    orders, overflow = [], None
+    for l in range(d_j):
+        quotients = []
+        try:
+            tn.append(two_nu ** (l + 1))
+            for i, ((de, d_i), dep) in enumerate(zip(others, deps)):
+                dep.append(de ** (l + 1))
+                fd = fact[l] * d_i
+                quotients.append((-fd, i, tn[l + 1] * dep[l + 1]))
+                quotients += [(fd, at + l - m + 1, tn[m] * fact[l - m + 1] * dep[m])
+                              for m in range(1, l + 1)]
+        except OverflowError:
+            overflow = l
+        products = tuple((binom[k], at + k, at + l - k) for k in range(l + 1))
+        orders.append((products, tuple(quotients), 1.0 - d_j / (l + 1)))
+        if overflow is not None:
+            break
+        fact.append(fact[l] * (l + 1))
+        binom = [1] + [binom[k - 1] + binom[k] for k in range(1, l + 1)] + [1]
+    return tuple(orders), overflow
+
+
 def _hierarchy_closure(
     j: int,
     lam: Sequence[float],
@@ -308,35 +356,36 @@ def _hierarchy_closure(
 
     Order l sums the additive terms of the l-th derivative equation E_j^(l)
     with Lambda_j^(l+1) = 0; the term of that unknown is an exact zero, which
-    math.fsum ignores. The term-by-term reference is `hierarchy_terms` in
-    the tests' oracles, and this closure is bit-identical to its chain.
+    math.fsum ignores. Everything but Lambda comes from `_closure_plan`,
+    cached per (j, levels, degeneracies, nu) with levels and nu as floats:
+    the closed system behind `branch_Z(extra_starts=...)` evaluates the same
+    two chains at tens of thousands of Lambda. Each term is then formed as
+    C(l, k) * Lambda_j^(k) * Lambda_j^(l-k) or c * x / den, the same float as
+    in the term-by-term reference `hierarchy_terms` of the tests' oracles,
+    and math.fsum rounds the exact sum of the terms, so the closure is
+    bit-identical to that reference's chain. The terms keep its order, so a
+    ZeroDivisionError (coincident levels) or an OverflowError (from a power,
+    or from fsum) is raised where the reference raises it.
     """
     d_j = degeneracies[j]
+    # tuple() of a list allocates the key at its size; tuple(map(...)) would
+    # shrink a 10-slot tuple on every call, and those blocks pile up in the
+    # free list of 3-tuples (0.12 MB over one branch_Z cloud)
+    key = tuple([float(e) for e in levels])
+    orders, overflow = _closure_plan(j, key, tuple(degeneracies), float(nu))
     lam_j = lam[j]
-    two_nu = 2 * nu
-    # (d_i, Lambda_i - Lambda_j, e_i - e_j, [(e_i - e_j)^m]) per other level
-    others = [(d_i, lam[i] - lam_j, e_i - levels[j], [1.0])
-              for i, (e_i, d_i) in enumerate(zip(levels, degeneracies)) if i != j]
-    tn, fact = [1.0], [1]  # (2nu)^m and m!, extended with l
-    lj = [lam_j]  # Lambda_j^(0..l)
-    binom = [1]  # C(l, 0..l)
-    for l in range(d_j):
-        tn.append(two_nu ** (l + 1))
-        terms = [-lj[l]]
-        terms += [binom[k] * lj[k] * lj[l - k] for k in range(l + 1)]
-        fact_l = fact[l]
-        for d_i, dlam, de, dep in others:
-            dep.append(de ** (l + 1))
-            terms.append(-fact_l * d_i * dlam / (tn[l + 1] * dep[l + 1]))
-            fd = fact_l * d_i
-            for m in range(1, l + 1):
-                terms.append(fd * lj[l - m + 1] / (tn[m] * fact[l - m + 1] * dep[m]))
+    x = [lam[i] - lam_j for i in range(len(levels)) if i != j]
+    x.append(lam_j)  # then Lambda_j^(1..l), one per order
+    for l, (products, quotients, coeff) in enumerate(orders):
+        terms = [-x[-1]]
+        terms += [b * x[p] * x[q] for b, p, q in products]
+        terms += [c * x[s] / den for c, s, den in quotients]
+        if l == overflow:
+            raise OverflowError(f"a power of order {l + 1} in the Lambda_j chain overflows")
         rest = math.fsum(terms)
         if l == d_j - 1:
             return rest
-        lj.append(-rest / (1.0 - d_j / (l + 1)))
-        fact.append(fact_l * (l + 1))
-        binom = [1] + [binom[k - 1] + binom[k] for k in range(1, l + 1)] + [1]
+        x.append(-rest / coeff)
     raise AssertionError("unreachable: d_j >= 1 always terminates the chain")
 
 
@@ -854,7 +903,12 @@ def branch_Z(
     The paper's closed Lambda system is an opt-in cross-check: with
     extra_starts > 0 (and n >= 2) multistart Newton in the (Z1, Z2) plane,
     from a random cloud drawn with `seed`, locates branches whose operator
-    is `_branch_operator`, recovered and checked the same way.
+    is `_branch_operator`, recovered and checked the same way. Each start
+    costs one damped Newton solve of up to 60 steps with a forward-difference
+    Jacobian: about 85 evaluations of `closed_system_terminals` (two
+    hierarchy closures each) and 1.8 ms on average over the 510 starts at
+    n = 2..5 of the branch-solve benchmark (2-CPU Xeon, Python 3.11), against
+    2-6 ms for the whole call without starts.
     """
     if n < 1:
         raise ValueError("branch_Z needs n >= 1")

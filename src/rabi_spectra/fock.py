@@ -287,9 +287,11 @@ def scan_crossings(
     minimum (avoided crossings, opposite-parity near-misses that do not
     swap, same-chain crossings on g2 = 0) is refined by golden-section
     search on the gap. Minima that drift to the bracket edge are dropped.
-    Opposite N_ex parities at the minimum cross exactly, equal ones repel
-    (avoided), except on a g2 = 0 (JC) line, where N_ex is conserved and
-    every minimum crosses. `gap` is eps_{i+1} - eps_i at the located g1.
+    Equal N_ex parities at the minimum repel (avoided). Opposite ones cross
+    exactly where the two levels swap; an opposite-parity minimum without a
+    swap is a near-miss, the two levels coming close and parting again, and
+    is dropped. On a g2 = 0 (JC) line N_ex is conserved and every minimum
+    crosses. `gap` is eps_{i+1} - eps_i at the located g1.
     """
     if not (math.isfinite(refine_tol) and refine_tol > 0):
         raise ValueError(f"refine_tol must be finite and > 0, got {refine_tol}")
@@ -326,6 +328,8 @@ def scan_crossings(
             eps_min, slots_min = _merged_levels(replace(p_template, g1=g1_min), n_max, n_levels)
             chain = slots_min // per_chain
             crossing = p_template.g2 == 0 or chain[pair] != chain[pair + 1]
+            if crossing and not swapped and p_template.g2 != 0:
+                continue  # opposite chains that come close and part again
             events.append(
                 CrossingEvent(
                     kind="crossing" if crossing else "avoided",

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -234,6 +235,55 @@ class TestHierarchyClosure:
                     lam3 = bethe.lambda_linear_solve(z1, z2, n, kappa, nu)
                     want = hierarchy_closure_chain(0, lam3, (nu, -nu, kappa), (n - 1, n, 1), nu)
                     assert bethe.exceptional_condition(n, kappa, nu, delta) == want
+
+    def test_cached_plans_match_chain_bit_for_bit(self):
+        # More (j, levels, degeneracies, nu) keys than the plan cache holds,
+        # visited in turn, so that plans are evicted and rebuilt between
+        # draws; every key sees 100 Lambda draws.
+        rng = np.random.default_rng(33)
+        keys = []
+        for _ in range(bethe._closure_plan.cache_info().maxsize + 3):
+            nu = float(rng.uniform(0.05, 1.5))
+            levels = tuple(float(x) for x in rng.uniform(-1.5, 1.5, 3))
+            deg = tuple(int(x) for x in rng.integers(1, 9, 3))
+            keys.append((int(rng.integers(0, 3)), levels, deg, nu))
+        for _ in range(100):
+            for j, levels, deg, nu in keys:
+                lam = tuple(float(x) for x in rng.normal(0.0, 5.0, 3))
+                want = hierarchy_closure_chain(j, lam, levels, deg, nu)
+                assert bethe._hierarchy_closure(j, lam, levels, deg, nu) == want
+
+    def test_integer_levels_and_nu_are_taken_as_floats(self):
+        lam, deg = (0.3, -1.2, 2.5), (4, 5, 1)
+        want = hierarchy_closure_chain(0, lam, (1.0, -1.0, 2.0), deg, 1.0)
+        assert bethe._hierarchy_closure(0, lam, (1, -1, 2), deg, 1) == want
+        assert bethe._hierarchy_closure(0, lam, (1.0, -1.0, 2.0), deg, 1.0) == want
+
+    @pytest.mark.parametrize("levels, deg", [
+        ((0.3, 0.3, -0.5), (3, 2, 1)),   # coincident levels
+        ((0.3, 0.3, 1e200), (3, 2, 1)),  # coincident, and (e_3 - e_1)^2 overflows later
+        ((0.3, -0.3, 1e200), (3, 2, 1)),  # (e_3 - e_1)^2 overflows
+    ])
+    def test_raises_what_the_chain_raises(self, levels, deg):
+        lam = (0.4, -0.7, 1.1)
+        with pytest.raises(ArithmeticError) as chain_err:
+            hierarchy_closure_chain(0, lam, levels, deg, 0.35)
+        with pytest.raises(type(chain_err.value)):
+            bethe._hierarchy_closure(0, lam, levels, deg, 0.35)
+
+    def test_branch_z_cross_check_builds_each_plan_once(self, monkeypatch):
+        built: list[tuple] = []
+        plan = bethe._closure_plan.__wrapped__
+
+        def counting_plan(*key):
+            built.append(key)
+            return plan(*key)
+
+        maxsize = bethe._closure_plan.cache_info().maxsize
+        monkeypatch.setattr(bethe, "_closure_plan", functools.lru_cache(maxsize)(counting_plan))
+        bethe.branch_Z(3, 0.4, 0.35, extra_starts=120)
+        levels, deg = (0.35, -0.35, 0.4), (2, 3, 1)
+        assert built == [(0, levels, deg, 0.35), (1, levels, deg, 0.35)]
 
 
 class TestExceptionalCondition:

@@ -258,6 +258,19 @@ def test_scan_crossings_classified_by_parity_at_strong_coupling():
         assert not ev.caveat
 
 
+@pytest.mark.parametrize("omega0, g2", [(0.7, 0.3), (1.3, 0.45)])
+def test_scan_crossings_drops_opposite_parity_near_misses(omega0, g2):
+    # Opposite-parity levels that come close and part again without swapping
+    # (one such gap minimum at g1 = 2.4903 on the first line, gap 0.394, and
+    # three with gaps 0.39-0.53 on the second) are no crossing; every
+    # reported crossing is exact.
+    events = fock.scan_crossings(ModelParams(1.0, omega0, 0.0, g2),
+                                 np.linspace(0.0, 3.0, 151), 10, 120)
+    crossings = [ev for ev in events if ev.kind == "crossing"]
+    assert crossings
+    assert all(ev.gap < fock.GAP_TOL for ev in crossings), crossings
+
+
 def test_scan_crossings_avoided_near_half_integer():
     p = ModelParams(1.0, 1.0, 0.0, 0.056)
     grid = np.linspace(0.35, 0.75, 51)
